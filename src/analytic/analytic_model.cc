@@ -409,4 +409,18 @@ AnalyticModel::metricsFor(const Context &ctx,
     return metricsFromSlowdowns(std::move(slowdowns));
 }
 
+void
+printReport(std::FILE *out, const AnalyticResult &res)
+{
+    std::fprintf(out, "%-14s %6s %10s %12s %10s\n", "app", "cores", "GB/s",
+                 "latency", "slowdown");
+    for (const auto &a : res.apps)
+        std::fprintf(out, "%-14s %6u %10.4f %12.2f %10.4f\n", a.name.c_str(),
+                     a.cores, a.bandwidthGBps, a.meanLatencyCycles,
+                     a.slowdown);
+    std::fprintf(out, "S_avg=%.4f S_max=%.4f bus=%.3f iters=%u\n",
+                 res.metrics.savg, res.metrics.smax, res.busUtilization,
+                 res.iterations);
+}
+
 } // namespace mitts::analytic

@@ -25,6 +25,7 @@
 #ifndef MITTS_ANALYTIC_ANALYTIC_MODEL_HH
 #define MITTS_ANALYTIC_ANALYTIC_MODEL_HH
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,10 @@ struct AnalyticResult
     double busUtilization = 0.0;
     unsigned iterations = 0;
 };
+
+/** The analytic backend's text report: one row per app (cores,
+ *  GB/s, loaded latency, slowdown), then the shared-run metrics. */
+void printReport(std::FILE *out, const AnalyticResult &res);
 
 class AnalyticModel
 {

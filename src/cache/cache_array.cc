@@ -3,14 +3,25 @@
 namespace mitts
 {
 
+const char *
+cacheGeometryError(std::size_t size_bytes, unsigned assoc)
+{
+    if (assoc == 0)
+        return "associativity must be positive";
+    const std::size_t lines = size_bytes / kBlockBytes;
+    if (lines % assoc != 0)
+        return "size not divisible by assoc";
+    if (!isPowerOf2(lines / assoc))
+        return "set count must be a power of 2";
+    return nullptr;
+}
+
 CacheArray::CacheArray(std::size_t size_bytes, unsigned assoc)
     : assoc_(assoc), setShift_(floorLog2(kBlockBytes))
 {
-    MITTS_ASSERT(assoc > 0, "associativity must be positive");
-    const std::size_t lines = size_bytes / kBlockBytes;
-    MITTS_ASSERT(lines % assoc == 0, "size not divisible by assoc");
-    const std::size_t num_sets = lines / assoc;
-    MITTS_ASSERT(isPowerOf2(num_sets), "set count must be a power of 2");
+    const char *bad = cacheGeometryError(size_bytes, assoc);
+    MITTS_ASSERT(!bad, bad);
+    const std::size_t num_sets = size_bytes / kBlockBytes / assoc;
     setMask_ = num_sets - 1;
     sets_.assign(num_sets, Set(assoc));
 }

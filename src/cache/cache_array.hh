@@ -26,6 +26,14 @@ struct Victim
 };
 
 /**
+ * Why a `size_bytes`, `assoc` cache cannot be built (the set count
+ * must be a positive power of two), or nullptr if it can. Config
+ * readers check sizes from outside input here instead of reaching
+ * CacheArray's assertion.
+ */
+const char *cacheGeometryError(std::size_t size_bytes, unsigned assoc);
+
+/**
  * Tags only — the simulator never models data contents. Addresses are
  * block addresses (low 6 bits zero).
  */

@@ -1,8 +1,8 @@
 #include "ckpt/config_hash.hh"
 
-#include <bit>
 #include <string>
 
+#include "base/fnv.hh"
 #include "system/config.hh"
 
 namespace mitts::ckpt
@@ -10,46 +10,6 @@ namespace mitts::ckpt
 
 namespace
 {
-
-/** FNV-1a accumulator over typed fields. */
-class Fnv
-{
-  public:
-    void
-    bytes(const void *data, std::size_t len)
-    {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < len; ++i) {
-            h_ ^= p[i];
-            h_ *= 0x100000001B3ULL;
-        }
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        unsigned char buf[8];
-        for (int i = 0; i < 8; ++i)
-            buf[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
-        bytes(buf, 8);
-    }
-
-    void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    void b(bool v) { u64(v ? 1 : 0); }
-
-    void
-    str(const std::string &s)
-    {
-        u64(s.size());
-        bytes(s.data(), s.size());
-    }
-
-    std::uint64_t value() const { return h_; }
-
-  private:
-    std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
 
 void
 hashPhase(Fnv &h, const PhaseSpec &p)
@@ -188,7 +148,9 @@ hashConfig(const SystemConfig &cfg, bool include_shaping)
 
     hashDram(h, cfg.dram);
 
-    h.u64(static_cast<std::uint64_t>(cfg.sched));
+    // The CLI name, not the enum ordinal: editing the registry must
+    // not shift other schedulers' hashes.
+    h.str(schedulerCliName(cfg.sched));
     h.f64(cfg.tcm.clusterThresh);
     h.u64(cfg.tcm.quantum);
     h.u64(cfg.tcm.shuffleInterval);
@@ -196,10 +158,6 @@ hashConfig(const SystemConfig &cfg, bool include_shaping)
     h.u64(cfg.atlas.quantum);
     h.f64(cfg.atlas.alpha);
     h.u64(cfg.atlas.starvationThreshold);
-    h.u64(cfg.parbs.batchCap);
-    h.f64(cfg.stfm.unfairnessThresh);
-    h.u64(cfg.stfm.epochLength);
-    h.u64(cfg.stfm.updatePeriod);
     h.u64(cfg.mise.epochLength);
     h.u64(cfg.mise.intervalLength);
     h.f64(cfg.mise.alpha);

@@ -197,7 +197,6 @@ Writer::request(const ReqPtr &req)
     u64(req->dramIssueAt);
     u64(req->doneAt);
     b(req->llcHit);
-    b(req->schedMarked);
 }
 
 std::string
@@ -464,7 +463,6 @@ Reader::request()
     r->dramIssueAt = u64();
     r->doneAt = u64();
     r->llcHit = b();
-    r->schedMarked = b();
     reqs_.push_back(r);
     return r;
 }

@@ -49,8 +49,10 @@ namespace mitts::ckpt
 
 /** Checkpoint format revision; bump on any layout change.
  *  v2: the core section gained the halted flag (cloud slots).
- *  v3: request payloads carry schedMarked (PAR-BS flat state). */
-constexpr std::uint32_t kFormatVersion = 3;
+ *  v3: request payloads carried schedMarked (PAR-BS flat state).
+ *  v4: schedMarked dropped with PAR-BS; request payloads end at
+ *      llcHit. */
+constexpr std::uint32_t kFormatVersion = 4;
 
 /** File magic ("MITTSCKP", 8 bytes, no terminator). */
 extern const char kMagic[8];

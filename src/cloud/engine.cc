@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <utility>
 
 #include "base/logging.hh"
@@ -485,6 +487,34 @@ CloudEngine::dumpStats(std::ostream &os) const
     for (unsigned si = 0; si < sockets_.size(); ++si) {
         os << "=== socket " << si << " ===\n";
         sockets_[si]->sys->dumpStats(os);
+    }
+}
+
+void
+CloudEngine::writeReports(const std::string &dir, bool stats,
+                          std::ostream &out)
+{
+    if (dir.empty()) {
+        writeSummary(out);
+        out << "\n";
+        writeBillingCsv(out);
+        if (stats) {
+            out << "\n---- statistics ----\n";
+            dumpStats(out);
+        }
+        return;
+    }
+    std::filesystem::create_directories(dir);
+    std::ofstream bill(dir + "/billing.csv");
+    writeBillingCsv(bill);
+    std::ostringstream summary;
+    writeSummary(summary);
+    std::ofstream(dir + "/summary.txt") << summary.str();
+    out << summary.str() << "billing:  " << dir << "/billing.csv\n";
+    if (stats) {
+        std::ofstream sf(dir + "/stats.txt");
+        dumpStats(sf);
+        out << "stats:    " << dir << "/stats.txt\n";
     }
 }
 

@@ -129,6 +129,13 @@ class CloudEngine
     void writeSummary(std::ostream &os);
     /** Stats dumps of every socket, in socket order. */
     void dumpStats(std::ostream &os) const;
+    /** The end-of-run reports. With `dir` empty: the summary, a
+     *  blank line and the billing CSV (then every socket's stats when
+     *  `stats`) to `out`. Otherwise billing.csv, summary.txt (and
+     *  stats.txt) under `dir`, echoing the summary and the paths to
+     *  `out`. */
+    void writeReports(const std::string &dir, bool stats,
+                      std::ostream &out);
     /** Flush per-socket telemetry (idempotent). */
     void finalizeTelemetry();
 

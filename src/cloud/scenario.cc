@@ -1,8 +1,11 @@
 #include "cloud/scenario.hh"
 
+#include <algorithm>
 #include <fstream>
-#include <sstream>
+#include <iterator>
+#include <variant>
 
+#include "base/fnv.hh"
 #include "trace/app_profile.hh"
 
 namespace mitts::cloud
@@ -11,73 +14,79 @@ namespace mitts::cloud
 namespace
 {
 
-[[noreturn]] void
-fail(const std::string &what, unsigned line, const std::string &msg)
+/** A scenario field, by type; assign() parses a value into it. */
+using Field = std::variant<std::string ScenarioConfig::*,
+                           std::uint64_t ScenarioConfig::*,
+                           unsigned ScenarioConfig::*,
+                           double ScenarioConfig::*,
+                           bool ScenarioConfig::*,
+                           std::vector<std::string> ScenarioConfig::*,
+                           std::vector<double> ScenarioConfig::*>;
+
+const std::pair<const char *, Field> kKeys[] = {
+    {"name", &ScenarioConfig::name},
+    {"seed", &ScenarioConfig::seed},
+    {"sockets", &ScenarioConfig::sockets},
+    {"cores_per_socket", &ScenarioConfig::coresPerSocket},
+    {"window", &ScenarioConfig::windowCycles},
+    {"duration", &ScenarioConfig::durationCycles},
+    {"arrivals_per_window", &ScenarioConfig::arrivalsPerWindow},
+    {"mean_residency_windows", &ScenarioConfig::meanResidencyWindows},
+    {"diurnal_period", &ScenarioConfig::diurnalPeriod},
+    {"diurnal_min", &ScenarioConfig::diurnalMin},
+    {"max_tenants", &ScenarioConfig::maxTenants},
+    {"profiles", &ScenarioConfig::profiles},
+    {"tier_weights", &ScenarioConfig::tierWeights},
+    {"autoscaler", &ScenarioConfig::autoscaler},
+    {"upgrade_stall_fraction", &ScenarioConfig::upgradeStallFraction},
+    {"downgrade_stall_fraction", &ScenarioConfig::downgradeStallFraction},
+    {"demand_stall_fraction", &ScenarioConfig::demandStallFraction},
+    {"telemetry", &ScenarioConfig::telemetry},
+    {"sample_interval", &ScenarioConfig::sampleInterval},
+};
+
+void
+assign(std::string &f, const KvLine &kv)
 {
-    throw ScenarioError(what + ":" + std::to_string(line) + ": " +
-                        msg);
+    f = kv.value;
 }
 
-std::uint64_t
-parseU64(const std::string &what, unsigned line,
-         const std::string &v)
+void
+assign(std::uint64_t &f, const KvLine &kv)
 {
-    try {
-        std::size_t pos = 0;
-        const std::uint64_t r = std::stoull(v, &pos);
-        if (pos != v.size())
-            fail(what, line, "trailing junk in integer '" + v + "'");
-        return r;
-    } catch (const ScenarioError &) {
-        throw;
-    } catch (const std::exception &) {
-        fail(what, line, "expected integer, got '" + v + "'");
-    }
+    f = parseU64(kv.where, kv.value);
 }
 
-double
-parseF64(const std::string &what, unsigned line,
-         const std::string &v)
+void
+assign(unsigned &f, const KvLine &kv)
 {
-    try {
-        std::size_t pos = 0;
-        const double r = std::stod(v, &pos);
-        if (pos != v.size())
-            fail(what, line, "trailing junk in number '" + v + "'");
-        return r;
-    } catch (const ScenarioError &) {
-        throw;
-    } catch (const std::exception &) {
-        fail(what, line, "expected number, got '" + v + "'");
-    }
+    f = parseUnsigned(kv.where, kv.value);
 }
 
-bool
-parseBool(const std::string &what, unsigned line,
-          const std::string &v)
+void
+assign(double &f, const KvLine &kv)
 {
-    if (v == "on" || v == "true" || v == "1")
-        return true;
-    if (v == "off" || v == "false" || v == "0")
-        return false;
-    fail(what, line, "expected on/off, got '" + v + "'");
+    f = parseF64(kv.where, kv.value);
 }
 
-std::vector<std::string>
-splitCsv(const std::string &v)
+void
+assign(bool &f, const KvLine &kv)
 {
-    std::vector<std::string> out;
-    std::string cur;
-    for (char c : v) {
-        if (c == ',') {
-            out.push_back(cur);
-            cur.clear();
-        } else {
-            cur.push_back(c);
-        }
-    }
-    out.push_back(cur);
-    return out;
+    f = parseBool(kv.where, kv.value);
+}
+
+void
+assign(std::vector<std::string> &f, const KvLine &kv)
+{
+    f = splitList(kv.where, kv.value);
+}
+
+void
+assign(std::vector<double> &f, const KvLine &kv)
+{
+    f.clear();
+    for (const auto &w : splitList(kv.where, kv.value))
+        f.push_back(parseF64(kv.where, w));
 }
 
 } // namespace
@@ -86,74 +95,14 @@ ScenarioConfig
 parseScenario(std::istream &in, const std::string &what)
 {
     ScenarioConfig sc;
-    std::string line;
-    unsigned lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        const std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream ls(line);
-        std::string key;
-        if (!(ls >> key))
-            continue; // blank / comment-only line
-        std::string value;
-        ls >> value;
-        std::string extra;
-        if (ls >> extra)
-            fail(what, lineno,
-                 "unexpected trailing token '" + extra + "'");
-        if (value.empty())
-            fail(what, lineno, "key '" + key + "' needs a value");
-
-        if (key == "name") {
-            sc.name = value;
-        } else if (key == "seed") {
-            sc.seed = parseU64(what, lineno, value);
-        } else if (key == "sockets") {
-            sc.sockets =
-                static_cast<unsigned>(parseU64(what, lineno, value));
-        } else if (key == "cores_per_socket") {
-            sc.coresPerSocket =
-                static_cast<unsigned>(parseU64(what, lineno, value));
-        } else if (key == "window") {
-            sc.windowCycles = parseU64(what, lineno, value);
-        } else if (key == "duration") {
-            sc.durationCycles = parseU64(what, lineno, value);
-        } else if (key == "arrivals_per_window") {
-            sc.arrivalsPerWindow = parseF64(what, lineno, value);
-        } else if (key == "mean_residency_windows") {
-            sc.meanResidencyWindows = parseF64(what, lineno, value);
-        } else if (key == "diurnal_period") {
-            sc.diurnalPeriod = parseU64(what, lineno, value);
-        } else if (key == "diurnal_min") {
-            sc.diurnalMin = parseF64(what, lineno, value);
-        } else if (key == "max_tenants") {
-            sc.maxTenants =
-                static_cast<unsigned>(parseU64(what, lineno, value));
-        } else if (key == "profiles") {
-            sc.profiles = splitCsv(value);
-        } else if (key == "tier_weights") {
-            sc.tierWeights.clear();
-            for (const auto &w : splitCsv(value))
-                sc.tierWeights.push_back(
-                    parseF64(what, lineno, w));
-        } else if (key == "autoscaler") {
-            sc.autoscaler = parseBool(what, lineno, value);
-        } else if (key == "upgrade_stall_fraction") {
-            sc.upgradeStallFraction = parseF64(what, lineno, value);
-        } else if (key == "downgrade_stall_fraction") {
-            sc.downgradeStallFraction =
-                parseF64(what, lineno, value);
-        } else if (key == "demand_stall_fraction") {
-            sc.demandStallFraction = parseF64(what, lineno, value);
-        } else if (key == "telemetry") {
-            sc.telemetry = parseBool(what, lineno, value);
-        } else if (key == "sample_interval") {
-            sc.sampleInterval = parseU64(what, lineno, value);
-        } else {
-            fail(what, lineno, "unknown key '" + key + "'");
-        }
+    for (const KvLine &kv : readKvLines(in, what)) {
+        const auto *key = std::find_if(
+            std::begin(kKeys), std::end(kKeys),
+            [&kv](const auto &k) { return kv.key == k.first; });
+        if (key == std::end(kKeys))
+            configFail(kv.where, "unknown key '" + kv.key + "'");
+        std::visit([&](auto field) { assign(sc.*field, kv); },
+                   key->second);
     }
     validateScenario(sc);
     return sc;
@@ -215,48 +164,37 @@ validateScenario(const ScenarioConfig &sc)
 std::uint64_t
 scenarioHash(const ScenarioConfig &sc)
 {
-    std::uint64_t h = 0xCBF29CE484222325ULL;
-    const auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xFF;
-            h *= 0x100000001B3ULL;
-        }
-    };
-    const auto mixs = [&](const std::string &s) {
-        mix(s.size());
+    Fnv h;
+    // Strings go in as their length plus one word per character.
+    const auto mixs = [&h](const std::string &s) {
+        h.u64(s.size());
         for (char c : s)
-            mix(static_cast<unsigned char>(c));
-    };
-    const auto mixf = [&](double v) {
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        __builtin_memcpy(&bits, &v, sizeof(bits));
-        mix(bits);
+            h.u64(static_cast<unsigned char>(c));
     };
     mixs(sc.name);
-    mix(sc.seed);
-    mix(sc.sockets);
-    mix(sc.coresPerSocket);
-    mix(sc.windowCycles);
-    mix(sc.durationCycles);
-    mixf(sc.arrivalsPerWindow);
-    mixf(sc.meanResidencyWindows);
-    mix(sc.diurnalPeriod);
-    mixf(sc.diurnalMin);
-    mix(sc.maxTenants);
-    mix(sc.profiles.size());
+    h.u64(sc.seed);
+    h.u64(sc.sockets);
+    h.u64(sc.coresPerSocket);
+    h.u64(sc.windowCycles);
+    h.u64(sc.durationCycles);
+    h.f64(sc.arrivalsPerWindow);
+    h.f64(sc.meanResidencyWindows);
+    h.u64(sc.diurnalPeriod);
+    h.f64(sc.diurnalMin);
+    h.u64(sc.maxTenants);
+    h.u64(sc.profiles.size());
     for (const auto &p : sc.profiles)
         mixs(p);
-    mix(sc.tierWeights.size());
+    h.u64(sc.tierWeights.size());
     for (double w : sc.tierWeights)
-        mixf(w);
-    mix(sc.autoscaler ? 1 : 0);
-    mixf(sc.upgradeStallFraction);
-    mixf(sc.downgradeStallFraction);
-    mixf(sc.demandStallFraction);
-    mix(sc.telemetry ? 1 : 0);
-    mix(sc.sampleInterval);
-    return h;
+        h.f64(w);
+    h.b(sc.autoscaler);
+    h.f64(sc.upgradeStallFraction);
+    h.f64(sc.downgradeStallFraction);
+    h.f64(sc.demandStallFraction);
+    h.b(sc.telemetry);
+    h.u64(sc.sampleInterval);
+    return h.value();
 }
 
 } // namespace mitts::cloud

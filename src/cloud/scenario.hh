@@ -5,11 +5,11 @@
  * seeded stream of tenants with diurnal load, purchased shaper
  * tiers, SLAs and rule-based autoscaling.
  *
- * The on-disk format is deliberately tiny: one `key value` pair per
- * line, `#` comments, parsed with line-numbered errors. Everything a
- * run depends on is either in this struct or derived from it, so
- * scenarioHash() can guard checkpoint warm-starts the same way
- * ckpt::configHash guards socket snapshots.
+ * The on-disk format is the shared `key = value` text of
+ * base/kv_text.hh: one pair per line, `#` comments, line-numbered
+ * errors. Everything a run depends on is either in this struct or
+ * derived from it, so scenarioHash() can guard checkpoint warm-starts
+ * the same way ckpt::configHash guards socket snapshots.
  */
 
 #ifndef MITTS_CLOUD_SCENARIO_HH
@@ -17,24 +17,17 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "base/kv_text.hh"
 #include "base/types.hh"
 
 namespace mitts::cloud
 {
 
 /** Parse/validation failure; message carries file:line context. */
-class ScenarioError : public std::runtime_error
-{
-  public:
-    explicit ScenarioError(const std::string &msg)
-        : std::runtime_error(msg)
-    {
-    }
-};
+using ScenarioError = ConfigError;
 
 struct ScenarioConfig
 {

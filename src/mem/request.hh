@@ -51,10 +51,6 @@ struct MemRequest
 
     bool llcHit = false;     ///< filled by the LLC lookup
 
-    /** PAR-BS batch mark: scheduler state carried flat on the request
-     *  (zsim-style) instead of a hashed side table. */
-    bool schedMarked = false;
-
     /** Demand requests need responses; writebacks do not. */
     bool isDemand() const { return op != MemOp::Writeback; }
     bool isRead() const { return op == MemOp::Read; }

@@ -193,7 +193,6 @@ class RequestPool
         r.dramIssueAt = 0;
         r.doneAt = 0;
         r.llcHit = false;
-        r.schedMarked = false;
     }
 
     std::vector<std::unique_ptr<MemRequest[]>> chunks_;

@@ -13,8 +13,8 @@
  * Columns are snapshots taken at push() time. That is sound because
  * blockAddr, op and core are immutable once a request is created, and
  * the controller stamps mcEnqueueAt immediately before pushing.
- * Scheduler-mutable per-request state (the PAR-BS batch mark) stays on
- * the request itself, reached through req().
+ * Anything else a scheduler reads stays on the request itself,
+ * reached through req().
  */
 
 #ifndef MITTS_MEM_TXN_QUEUE_HH
@@ -35,7 +35,7 @@ class TxnQueue
     std::size_t size() const { return reqs_.size(); }
     bool empty() const { return reqs_.empty(); }
 
-    /** Handle of entry `i` (scheduler-mutable state lives there). */
+    /** Handle of entry `i`. */
     const ReqPtr &req(std::size_t i) const { return reqs_[i]; }
 
     Addr blockAddr(std::size_t i) const { return addr_[i]; }

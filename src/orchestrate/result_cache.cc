@@ -10,6 +10,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "base/fnv.hh"
 #include "ckpt/serialize.hh"
 
 namespace mitts::orchestrate
@@ -61,18 +62,6 @@ getU64(const std::string &s, std::size_t &pos, std::uint64_t &out)
                << (8 * i);
     pos += 8;
     return true;
-}
-
-std::string
-hex16(std::uint64_t v)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string s(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        s[static_cast<std::size_t>(i)] = digits[v & 0xFu];
-        v >>= 4;
-    }
-    return s;
 }
 
 } // namespace

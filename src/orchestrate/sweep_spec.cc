@@ -1,8 +1,12 @@
 #include "orchestrate/sweep_spec.hh"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
+#include "base/fnv.hh"
+#include "base/kv_text.hh"
+#include "cache/cache_array.hh"
 #include "ckpt/config_hash.hh"
 #include "trace/app_profile.hh"
 
@@ -12,95 +16,37 @@ namespace mitts::orchestrate
 namespace
 {
 
-std::string
-trim(const std::string &s)
-{
-    const auto b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    const auto e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
-
-std::vector<std::string>
-splitList(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::string item;
-    std::istringstream is(s);
-    while (std::getline(is, item, sep)) {
-        item = trim(item);
-        if (!item.empty())
-            out.push_back(item);
-    }
-    return out;
-}
-
-[[noreturn]] void
-fail(const std::string &what, int line, const std::string &msg)
-{
-    throw SweepError(what + ":" + std::to_string(line) + ": " + msg);
-}
-
-std::uint64_t
-parseU64(const std::string &what, int line, const std::string &v)
-{
-    try {
-        std::size_t pos = 0;
-        const unsigned long long n = std::stoull(v, &pos, 10);
-        if (pos != v.size())
-            fail(what, line, "trailing junk in number '" + v + "'");
-        return static_cast<std::uint64_t>(n);
-    } catch (const SweepError &) {
-        throw;
-    } catch (const std::exception &) {
-        fail(what, line, "bad number '" + v + "'");
-    }
-}
-
 std::vector<std::uint32_t>
-parseBins(const std::string &what, int line, const std::string &v)
+parseBins(const std::string &ctx, const std::string &v)
 {
     std::vector<std::uint32_t> bins;
-    for (const auto &tok : splitList(v, ':')) {
-        const std::uint64_t n = parseU64(what, line, tok);
-        if (n > 0xFFFFFFFFull)
-            fail(what, line, "bin credit out of range: " + tok);
-        bins.push_back(static_cast<std::uint32_t>(n));
-    }
-    if (bins.empty())
-        fail(what, line, "empty bins value");
+    for (const auto &tok : splitList(ctx, v, ':'))
+        bins.push_back(parseUnsigned(ctx, tok));
     return bins;
 }
 
-bool
-parseBool(const std::string &what, int line, const std::string &v)
+/** llc-kb must give the default LLC a power-of-two set count. */
+std::uint64_t
+checkLlcKb(const std::string &ctx, std::uint64_t kb)
 {
-    if (v == "1" || v == "true" || v == "yes")
-        return true;
-    if (v == "0" || v == "false" || v == "no")
-        return false;
-    fail(what, line, "bad boolean '" + v + "'");
+    const char *bad = kb > (std::numeric_limits<std::size_t>::max() >> 10)
+                          ? "out of range"
+                          : cacheGeometryError(kb * 1024, LlcConfig{}.assoc);
+    if (bad)
+        configFail(ctx, "llc-kb " + std::to_string(kb) + ": " + bad);
+    return kb;
 }
 
-/** FNV-1a over a sequence of u64 words. */
-class KeyHash
+/** Parse every item of an axis list with `parse`. */
+template <typename Parse>
+auto
+parseAxis(const KvLine &kv, Parse parse)
 {
-  public:
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h_ ^= (v >> (8 * i)) & 0xFFu;
-            h_ *= 0x100000001B3ULL;
-        }
-    }
-
-    std::uint64_t value() const { return h_; }
-
-  private:
-    std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
+    std::vector<decltype(parse(kv.value))> out;
+    for (const auto &item : splitList(kv.where, kv.value))
+        out.push_back(parse(item));
+    return out;
+}
 
 std::string
 binsToString(const std::vector<std::uint32_t> &bins)
@@ -116,173 +62,82 @@ binsToString(const std::vector<std::uint32_t> &bins)
     return s;
 }
 
-std::string
-hex16(std::uint64_t v)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string s(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        s[static_cast<std::size_t>(i)] =
-            digits[v & 0xFu];
-        v >>= 4;
-    }
-    return s;
-}
-
-/** CLI spelling of a scheduler (matches mitts_sim --sched), as
- *  opposed to schedulerName()'s display form ("FR-FCFS"). Sweep
- *  files, unit descriptions and cache-entry descs all use this. */
-const char *
-schedulerCliName(SchedulerKind k)
-{
-    switch (k) {
-      case SchedulerKind::Frfcfs:
-        return "frfcfs";
-      case SchedulerKind::Fcfs:
-        return "fcfs";
-      case SchedulerKind::FairQueue:
-        return "fairqueue";
-      case SchedulerKind::Atlas:
-        return "atlas";
-      case SchedulerKind::Parbs:
-        return "parbs";
-      case SchedulerKind::Stfm:
-        return "stfm";
-      case SchedulerKind::Tcm:
-        return "tcm";
-      case SchedulerKind::Fst:
-        return "fst";
-      case SchedulerKind::MemGuard:
-        return "memguard";
-      case SchedulerKind::Mise:
-        return "mise";
-    }
-    return "?";
-}
-
 } // namespace
-
-SchedulerKind
-schedulerFromName(const std::string &name)
-{
-    for (int i = 0; i <= static_cast<int>(SchedulerKind::Mise);
-         ++i) {
-        const auto k = static_cast<SchedulerKind>(i);
-        if (name == schedulerCliName(k))
-            return k;
-    }
-    throw SweepError("unknown scheduler '" + name + "'");
-}
 
 SweepSpec
 parseSweep(std::istream &in, const std::string &what)
 {
     SweepSpec spec;
-    std::string line;
-    int lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        line = trim(line);
-        if (line.empty())
-            continue;
-
-        const auto eq = line.find('=');
-        if (eq == std::string::npos)
-            fail(what, lineno, "expected `key = value`");
-        std::string key = trim(line.substr(0, eq));
-        const std::string value = trim(line.substr(eq + 1));
-        if (key.empty() || value.empty())
-            fail(what, lineno, "expected `key = value`");
-
-        const bool axis = key.rfind("sweep ", 0) == 0;
-        if (axis)
-            key = trim(key.substr(6));
-
-        if (axis) {
-            const auto items = splitList(value, ',');
-            if (items.empty())
-                fail(what, lineno, "empty sweep axis");
-            if (key == "sched") {
-                spec.schedAxis = items;
-            } else if (key == "seed") {
-                for (const auto &v : items)
-                    spec.seedAxis.push_back(
-                        parseU64(what, lineno, v));
-            } else if (key == "bins") {
-                for (const auto &v : items)
-                    spec.binsAxis.push_back(
-                        parseBins(what, lineno, v));
-            } else if (key == "llc-kb") {
-                for (const auto &v : items)
-                    spec.llcKbAxis.push_back(
-                        parseU64(what, lineno, v));
-            } else if (key == "instr") {
-                for (const auto &v : items)
-                    spec.instrAxis.push_back(
-                        parseU64(what, lineno, v));
+    for (const KvLine &kv : readKvLines(in, what)) {
+        const std::string &ctx = kv.where;
+        const std::string &value = kv.value;
+        const auto u64 = [&ctx](const std::string &v) {
+            return parseU64(ctx, v);
+        };
+        if (kv.key.rfind("sweep ", 0) == 0) {
+            const std::string axis = trim(kv.key.substr(6));
+            if (axis == "sched") {
+                spec.schedAxis = splitList(ctx, value);
+            } else if (axis == "seed") {
+                spec.seedAxis = parseAxis(kv, u64);
+            } else if (axis == "bins") {
+                spec.binsAxis = parseAxis(kv, [&ctx](const std::string &v) {
+                    return parseBins(ctx, v);
+                });
+            } else if (axis == "llc-kb") {
+                spec.llcKbAxis = parseAxis(kv, [&ctx](const std::string &v) {
+                    return checkLlcKb(ctx, parseU64(ctx, v));
+                });
+            } else if (axis == "instr") {
+                spec.instrAxis = parseAxis(kv, u64);
             } else {
-                fail(what, lineno, "unknown sweep axis '" + key +
-                                       "' (sched, seed, bins, "
-                                       "llc-kb, instr)");
+                configFail(ctx, "unknown sweep axis '" + axis +
+                                    "' (sched, seed, bins, llc-kb, instr)");
             }
             continue;
         }
 
+        const std::string &key = kv.key;
         if (key == "name") {
             spec.name = value;
         } else if (key == "mode") {
-            if (value == "grid")
-                spec.mode = SweepMode::Grid;
-            else if (value == "tune")
-                spec.mode = SweepMode::Tune;
-            else
-                fail(what, lineno,
-                     "mode must be grid or tune, not '" + value +
-                         "'");
+            if (value != "grid" && value != "tune")
+                configFail(ctx, "mode must be grid or tune, not '" + value +
+                                    "'");
+            spec.mode = value == "grid" ? SweepMode::Grid : SweepMode::Tune;
         } else if (key == "apps") {
-            spec.apps = splitList(value, ',');
+            spec.apps = splitList(ctx, value);
         } else if (key == "instr") {
-            spec.instr = parseU64(what, lineno, value);
+            spec.instr = u64(value);
         } else if (key == "max-cycles") {
-            spec.maxCycles = parseU64(what, lineno, value);
+            spec.maxCycles = u64(value);
         } else if (key == "llc-kb") {
-            spec.llcKb = parseU64(what, lineno, value);
+            spec.llcKb = checkLlcKb(ctx, u64(value));
         } else if (key == "seed") {
-            spec.seed = parseU64(what, lineno, value);
+            spec.seed = u64(value);
         } else if (key == "gate") {
-            if (value == "none")
-                spec.gate = GateKind::None;
-            else if (value == "mitts")
-                spec.gate = GateKind::Mitts;
-            else
-                fail(what, lineno,
-                     "gate must be none or mitts, not '" + value +
-                         "'");
+            if (value != gateName(GateKind::None) &&
+                value != gateName(GateKind::Mitts))
+                configFail(ctx, "gate must be none or mitts, not '" +
+                                    value + "'");
+            spec.gate = gateFromName(value);
         } else if (key == "objective") {
-            if (value == "throughput")
-                spec.objective = Objective::Throughput;
-            else if (value == "fairness")
-                spec.objective = Objective::Fairness;
-            else
-                fail(what, lineno,
-                     "objective must be throughput or fairness");
+            if (value != "throughput" && value != "fairness")
+                configFail(ctx, "objective must be throughput or fairness");
+            spec.objective = value == "fairness" ? Objective::Fairness
+                                                 : Objective::Throughput;
         } else if (key == "generations") {
-            spec.generations = static_cast<unsigned>(
-                parseU64(what, lineno, value));
+            spec.generations = parseUnsigned(ctx, value);
         } else if (key == "population") {
-            spec.population = static_cast<unsigned>(
-                parseU64(what, lineno, value));
+            spec.population = parseUnsigned(ctx, value);
         } else if (key == "ga-seed") {
-            spec.gaSeed = parseU64(what, lineno, value);
+            spec.gaSeed = u64(value);
         } else if (key == "prefilter") {
-            spec.prefilter = parseBool(what, lineno, value);
+            spec.prefilter = parseBool(ctx, value);
         } else if (key == "warmup") {
-            spec.warmupInstr = parseU64(what, lineno, value);
+            spec.warmupInstr = u64(value);
         } else {
-            fail(what, lineno, "unknown key '" + key + "'");
+            configFail(ctx, "unknown key '" + key + "'");
         }
     }
     return spec;
@@ -307,16 +162,14 @@ validateSweep(const SweepSpec &spec)
             throw SweepError("unknown app profile '" + a + "'");
     if (spec.instr == 0 || spec.maxCycles == 0)
         throw SweepError("instr and max-cycles must be positive");
-    if (spec.llcKb == 0)
-        throw SweepError("llc-kb must be positive");
+    checkLlcKb("llc-kb", spec.llcKb);
     for (const auto &s : spec.schedAxis)
         schedulerFromName(s); // throws on unknown
     for (const auto v : spec.instrAxis)
         if (v == 0)
             throw SweepError("instr axis values must be positive");
     for (const auto v : spec.llcKbAxis)
-        if (v == 0)
-            throw SweepError("llc-kb axis values must be positive");
+        checkLlcKb("sweep llc-kb", v);
 
     const BinSpec bin_spec; // default geometry
     for (const auto &bins : spec.binsAxis)
@@ -357,8 +210,7 @@ specToText(const SweepSpec &spec)
     os << "max-cycles = " << spec.maxCycles << "\n";
     os << "llc-kb = " << spec.llcKb << "\n";
     os << "seed = " << spec.seed << "\n";
-    os << "gate = "
-       << (spec.gate == GateKind::Mitts ? "mitts" : "none") << "\n";
+    os << "gate = " << gateName(spec.gate) << "\n";
     os << "objective = "
        << (spec.objective == Objective::Fairness ? "fairness"
                                                  : "throughput")
@@ -495,7 +347,7 @@ unitDesc(const SweepSpec &spec, const UnitSpec &unit)
 std::uint64_t
 unitCacheKey(const SweepSpec &spec, const UnitSpec &unit)
 {
-    KeyHash h;
+    Fnv h;
     h.u64(kRecordVersion);
     h.u64(ckpt::configHash(unitConfig(spec, unit)));
     h.u64(unit.instr);

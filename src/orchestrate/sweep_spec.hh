@@ -2,8 +2,8 @@
  * @file
  * Declarative sweep description for the experiment farm (ROADMAP
  * item 3): a multi-program mix plus the axes of a fig12-style design
- * grid, or the knobs of a GA tuning run, in the same tiny one
- * `key = value` per line format the cloud scenario files use.
+ * grid, or the knobs of a GA tuning run, in the shared `key = value`
+ * text of base/kv_text.hh (the cloud scenario files use it too).
  *
  * Grid mode expands the cartesian product of the sweep axes into
  * work units numbered 0..unitCount()-1 in a canonical row-major
@@ -32,10 +32,10 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "base/kv_text.hh"
 #include "system/config.hh"
 #include "tuner/objective.hh"
 
@@ -43,11 +43,7 @@ namespace mitts::orchestrate
 {
 
 /** Parse/validation failure; message carries file:line context. */
-class SweepError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
+using SweepError = ConfigError;
 
 enum class SweepMode
 {
@@ -146,9 +142,6 @@ std::string unitDesc(const SweepSpec &spec, const UnitSpec &unit);
  *  run-length knobs and kRecordVersion. */
 std::uint64_t unitCacheKey(const SweepSpec &spec,
                            const UnitSpec &unit);
-
-/** Scheduler name <-> kind (throws SweepError on unknown names). */
-SchedulerKind schedulerFromName(const std::string &name);
 
 } // namespace mitts::orchestrate
 

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include "base/fnv.hh"
 #include "ckpt/config_hash.hh"
 #include "orchestrate/frame.hh"
 #include "system/runner.hh"
@@ -19,37 +20,6 @@ namespace mitts::orchestrate
 
 namespace
 {
-
-/** FNV-1a over a sequence of u64 words (matches sweep_spec.cc). */
-class KeyHash
-{
-  public:
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h_ ^= (v >> (8 * i)) & 0xFFu;
-            h_ *= 0x100000001B3ULL;
-        }
-    }
-
-    std::uint64_t value() const { return h_; }
-
-  private:
-    std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
-
-std::string
-hex16(std::uint64_t v)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string s(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        s[static_cast<std::size_t>(i)] = digits[v & 0xFu];
-        v >>= 4;
-    }
-    return s;
-}
 
 /** Shortest round-trip-exact double formatting (house %.17g). */
 std::string
@@ -81,7 +51,7 @@ fileExists(const std::string &path)
 std::uint64_t
 genomeCacheKey(const SweepSpec &spec, const Genome &g)
 {
-    KeyHash h;
+    Fnv h;
     h.u64(kRecordVersion);
     h.u64(ckpt::configHash(genomeConfig(spec, g)));
     h.u64(static_cast<std::uint64_t>(spec.objective));
@@ -140,7 +110,7 @@ WorkerContext::aloneFor(const SystemConfig &cfg, std::uint64_t instr)
     std::vector<Tick> alone(cfg.apps.size(), 0);
     for (unsigned a = 0; a < cfg.apps.size(); ++a) {
         const SystemConfig acfg = aloneConfig(cfg, a);
-        KeyHash h;
+        Fnv h;
         h.u64(kRecordVersion);
         h.u64(ckpt::configHash(acfg));
         h.u64(instr);

@@ -35,8 +35,6 @@ class AtlasScheduler : public RankedFrfcfs
   public:
     AtlasScheduler(unsigned num_cores, const AtlasConfig &cfg);
 
-    std::string name() const override { return "atlas"; }
-
     int pick(const TxnQueue &queue, const Dram &dram,
              Tick now) override;
     void tick(Tick now) override;

@@ -29,8 +29,6 @@ class FairQueueScheduler : public MemScheduler
     explicit FairQueueScheduler(unsigned num_cores,
                                 std::vector<double> shares = {});
 
-    std::string name() const override { return "fair-queue"; }
-
     /** Virtual-time bookkeeping happens inside pick(); tick no-op. */
     Tick
     nextWakeTick(Tick now) const override

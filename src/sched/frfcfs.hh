@@ -22,8 +22,6 @@ namespace mitts
 class RankedFrfcfs : public MemScheduler
 {
   public:
-    std::string name() const override { return "fr-fcfs"; }
-
     int pick(const TxnQueue &queue, const Dram &dram,
              Tick now) override;
 
@@ -66,8 +64,6 @@ class RankedFrfcfs : public MemScheduler
 class FrfcfsScheduler : public RankedFrfcfs
 {
   public:
-    std::string name() const override { return "fr-fcfs"; }
-
     /** Stateless across cycles (tick is a no-op): never needs one. */
     Tick
     nextWakeTick(Tick now) const override
@@ -81,8 +77,6 @@ class FrfcfsScheduler : public RankedFrfcfs
 class FcfsScheduler : public MemScheduler
 {
   public:
-    std::string name() const override { return "fcfs"; }
-
     /** Stateless across cycles (tick is a no-op): never needs one. */
     Tick
     nextWakeTick(Tick now) const override

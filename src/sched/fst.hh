@@ -78,8 +78,6 @@ class FstScheduler : public RankedFrfcfs
   public:
     FstScheduler(unsigned num_cores, const FstConfig &cfg);
 
-    std::string name() const override { return "fst"; }
-
     void tick(Tick now) override;
     void onComplete(const MemRequest &req, Tick now) override;
     void setMonitor(const AppMonitor *mon) override;

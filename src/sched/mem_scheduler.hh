@@ -48,7 +48,10 @@ class MemScheduler
   public:
     virtual ~MemScheduler() = default;
 
-    virtual std::string name() const = 0;
+    /** Empty for the built-in policies, which the name registry in
+     *  system/config.hh names by SchedulerKind; a decorator wrapping
+     *  a policy may report one. */
+    virtual std::string name() const { return {}; }
 
     /**
      * Choose the index of the transaction to issue, or -1 to idle.

@@ -31,8 +31,6 @@ class MiseScheduler : public RankedFrfcfs
   public:
     MiseScheduler(unsigned num_cores, const MiseConfig &cfg);
 
-    std::string name() const override { return "mise"; }
-
     void tick(Tick now) override;
     void onComplete(const MemRequest &req, Tick now) override;
     void setMonitor(const AppMonitor *mon) override;

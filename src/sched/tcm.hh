@@ -35,8 +35,6 @@ class TcmScheduler : public RankedFrfcfs
   public:
     TcmScheduler(unsigned num_cores, const TcmConfig &cfg);
 
-    std::string name() const override { return "tcm"; }
-
     void tick(Tick now) override;
     void onEnqueue(const MemRequest &req, Tick now) override;
 

@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/l1_cache.hh"
@@ -20,8 +21,6 @@
 #include "memctrl/mem_controller.hh"
 #include "noc/mesh.hh"
 #include "sched/atlas.hh"
-#include "sched/parbs.hh"
-#include "sched/stfm.hh"
 #include "sched/fst.hh"
 #include "sched/memguard.hh"
 #include "sched/mise.hh"
@@ -43,8 +42,6 @@ enum class SchedulerKind
     Fcfs,
     FairQueue,
     Atlas,
-    Parbs,
-    Stfm,
     Tcm,
     Fst,      ///< FR-FCFS + FST source throttling gates
     MemGuard, ///< FR-FCFS + MemGuard budget gates
@@ -59,7 +56,66 @@ enum class GateKind
     Static, ///< constant-rate token bucket
 };
 
-const char *schedulerName(SchedulerKind k);
+/**
+ * The name registry: one row per scheduler, in enum order, with the
+ * spelling mitts_sim --sched and sweep files use and the display name
+ * reports print. Nothing else in the tree spells a scheduler name.
+ */
+struct SchedulerInfo
+{
+    SchedulerKind kind;
+    const char *cliName;
+    const char *displayName;
+};
+
+inline constexpr SchedulerInfo kSchedulers[] = {
+    {SchedulerKind::Frfcfs, "frfcfs", "FR-FCFS"},
+    {SchedulerKind::Fcfs, "fcfs", "FCFS"},
+    {SchedulerKind::FairQueue, "fairqueue", "FairQueue"},
+    {SchedulerKind::Atlas, "atlas", "ATLAS"},
+    {SchedulerKind::Tcm, "tcm", "TCM"},
+    {SchedulerKind::Fst, "fst", "SourceThro"},
+    {SchedulerKind::MemGuard, "memguard", "MemGuard"},
+    {SchedulerKind::Mise, "mise", "MISE"},
+};
+
+/** Gate names, in enum order (mitts_sim --gate, sweep `gate`). */
+inline constexpr std::pair<GateKind, const char *> kGates[] = {
+    {GateKind::None, "none"},
+    {GateKind::Mitts, "mitts"},
+    {GateKind::Static, "static"},
+};
+
+/** Display name ("FR-FCFS", "SourceThro", ...). */
+constexpr const char *
+schedulerName(SchedulerKind k)
+{
+    return kSchedulers[static_cast<std::size_t>(k)].displayName;
+}
+
+/** CLI / sweep-file spelling ("frfcfs", "fst", ...). */
+constexpr const char *
+schedulerCliName(SchedulerKind k)
+{
+    return kSchedulers[static_cast<std::size_t>(k)].cliName;
+}
+
+constexpr const char *
+gateName(GateKind g)
+{
+    return kGates[static_cast<std::size_t>(g)].second;
+}
+
+/** Every scheduler kind, in registry order. */
+std::vector<SchedulerKind> allSchedulers();
+
+/** Inverse of schedulerCliName / gateName; ConfigError if unknown. */
+SchedulerKind schedulerFromName(const std::string &name);
+GateKind gateFromName(const std::string &name);
+
+/** "frfcfs|fcfs|..." / "none|mitts|static" for --help text. */
+std::string schedulerNameList();
+std::string gateNameList();
 
 struct SystemConfig
 {
@@ -98,8 +154,6 @@ struct SystemConfig
     SchedulerKind sched = SchedulerKind::Frfcfs;
     TcmConfig tcm;
     AtlasConfig atlas;
-    ParbsConfig parbs;
-    StfmConfig stfm;
     MiseConfig mise;
     FstConfig fst;
     MemGuardConfig memguard;

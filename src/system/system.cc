@@ -13,34 +13,6 @@
 namespace mitts
 {
 
-const char *
-schedulerName(SchedulerKind k)
-{
-    switch (k) {
-      case SchedulerKind::Frfcfs:
-        return "FR-FCFS";
-      case SchedulerKind::Fcfs:
-        return "FCFS";
-      case SchedulerKind::FairQueue:
-        return "FairQueue";
-      case SchedulerKind::Atlas:
-        return "ATLAS";
-      case SchedulerKind::Parbs:
-        return "PAR-BS";
-      case SchedulerKind::Stfm:
-        return "STFM";
-      case SchedulerKind::Tcm:
-        return "TCM";
-      case SchedulerKind::Fst:
-        return "SourceThro";
-      case SchedulerKind::MemGuard:
-        return "MemGuard";
-      case SchedulerKind::Mise:
-        return "MISE";
-    }
-    return "?";
-}
-
 System::System(const SystemConfig &cfg) : cfg_(cfg), sim_(cfg_.sim)
 {
     MITTS_ASSERT(!cfg_.apps.empty(), "system needs at least one app");
@@ -277,14 +249,6 @@ System::buildScheduler()
         sched_ = std::make_unique<AtlasScheduler>(numCores_,
                                                   cfg_.atlas);
         break;
-      case SchedulerKind::Parbs:
-        sched_ = std::make_unique<ParbsScheduler>(numCores_,
-                                                  cfg_.parbs);
-        break;
-      case SchedulerKind::Stfm:
-        sched_ = std::make_unique<StfmScheduler>(numCores_,
-                                                 cfg_.stfm);
-        break;
       case SchedulerKind::Tcm: {
         TcmConfig t = cfg_.tcm;
         t.seed = cfg_.seed ^ 0x7C3Du;
@@ -303,7 +267,7 @@ System::buildScheduler()
         m.peakRequestsPerCycle =
             1.0 / static_cast<double>(cfg_.dram.tBURST);
         auto ctrl = std::make_unique<MemGuardController>(
-            "memguard", numCores_, m);
+            schedulerCliName(SchedulerKind::MemGuard), numCores_, m);
         ctrl->setMemController(mc_.get());
         extraClocked_ = std::move(ctrl);
         break;
@@ -495,7 +459,7 @@ System::saveCheckpoint(const std::string &path)
         auto *s =
             dynamic_cast<ckpt::Serializable *>(extraClocked_.get());
         MITTS_ASSERT(s, "extra clocked component not serializable");
-        w.beginSection("memguard");
+        w.beginSection(schedulerCliName(SchedulerKind::MemGuard));
         s->saveState(w);
         w.endSection();
     }
@@ -618,7 +582,7 @@ System::restoreCheckpoint(const std::string &path)
         auto *s =
             dynamic_cast<ckpt::Serializable *>(extraClocked_.get());
         MITTS_ASSERT(s, "extra clocked component not serializable");
-        r.beginSection("memguard");
+        r.beginSection(schedulerCliName(SchedulerKind::MemGuard));
         s->loadState(r);
         r.endSection();
     }

@@ -66,6 +66,7 @@ class System : public AppMonitor
     }
 
     Simulation &sim() { return sim_; }
+    Tick now() const { return sim_.now(); }
     /** Arena all this system's MemRequests are allocated from. */
     RequestPool &pool() { return pool_; }
     Core &core(CoreId c) { return *cores_[c]; }

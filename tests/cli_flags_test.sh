@@ -2,6 +2,7 @@
 # CLI contract for flag validation (see usage() exit-code docs):
 #
 #   malformed / out-of-range numeric values   -> 2, one-line reason
+#   unknown scheduler/gate, missing value     -> 2, one-line reason
 #   conflicting or nonsensical combinations   -> 2, one-line reason
 #   --backend analytic                        -> deterministic report,
 #                                                cycle-only flags rejected
@@ -60,6 +61,18 @@ reject "$SIM" --apps gcc --static-gbps fast
 reject "$SIM" --apps gcc --bins 1,2,three,4,5,6,7,8,9,10
 reject "$SIM" --apps gcc --noc 0x5
 reject "$SIM" --apps gcc --noc 5xq
+reject "$SIM" --apps gcc --noc 5
+reject "$SIM" --apps gcc --llc -5
+reject "$SIM" --apps gcc --llc 0
+reject "$SIM" --apps gcc --llc 3000
+reject "$SIM" --apps gcc --bins 4294967296,0,0,0,0,0,0,0,0,0
+reject "$SIM" --apps gcc --bins 1,2,3
+
+# Unknown names and missing values (names come from the registry).
+reject "$SIM" --apps gcc --gate foo
+reject "$SIM" --apps gcc --sched warp-drive
+reject "$SIM" --apps
+reject "$SIM" --apps gcc,,mcf
 
 # Conflicting combinations.
 reject "$SIM" --apps gcc --checkpoint-every 100

@@ -56,6 +56,9 @@ reject "$SWEEP" --spec "$WORK/grid.sweep"
 reject "$SWEEP" --spec "$WORK/grid.sweep" --out "$WORK/o" --workers 999
 reject "$SWEEP" --spec "$WORK/grid.sweep" --out "$WORK/o" --workers -1
 reject "$SWEEP" --spec "$WORK/grid.sweep" --out "$WORK/o" --timeout x
+reject "$SWEEP" --spec "$WORK/grid.sweep" --out "$WORK/o" --timeout nan
+reject "$SWEEP" --spec "$WORK/grid.sweep" --out "$WORK/o" --timeout -1
+reject "$SWEEP" --spec "$WORK/grid.sweep" --out "$WORK/o" --retries 1.5
 reject "$SWEEP" --bogus-flag
 
 expect_exit 1 "$SWEEP" --spec "$WORK/absent.sweep" --out "$WORK/o"

@@ -8,9 +8,11 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "base/bitutil.hh"
+#include "base/kv_text.hh"
 #include "base/random.hh"
 #include "base/stats.hh"
 
@@ -292,6 +294,63 @@ TEST(Stats, GroupDumpContainsNames)
     std::ostringstream os;
     g.dump(os);
     EXPECT_NE(os.str().find("grp.events = 7"), std::string::npos);
+}
+
+TEST(KvText, ReadsKeyValueLinesWithLineNumbers)
+{
+    std::istringstream in("# comment\n\n  a = 1  # trailing\nb=x = y\n");
+    const auto lines = readKvLines(in, "f");
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_EQ(lines[0].where, "f:3");
+    EXPECT_EQ(lines[0].key, "a");
+    EXPECT_EQ(lines[0].value, "1");
+    EXPECT_EQ(lines[1].key, "b");
+    EXPECT_EQ(lines[1].value, "x = y");
+    for (const char *bad : {"a 1\n", "= 1\n", "a =\n"}) {
+        std::istringstream b(bad);
+        try {
+            readKvLines(b, "f");
+            ADD_FAILURE() << bad;
+        } catch (const ConfigError &e) {
+            EXPECT_STREQ(e.what(), "f:1: expected 'key = value'");
+        }
+    }
+}
+
+TEST(KvText, NumbersAreCheckedWholeTokens)
+{
+    EXPECT_EQ(parseU64("c", "18446744073709551615"), ~0ull);
+    for (const char *bad : {"", "-1", "+1", " 1", "1k", "0x10",
+                            "18446744073709551616"})
+        EXPECT_THROW(parseU64("c", bad), ConfigError) << bad;
+    EXPECT_EQ(parseUnsigned("c", "4294967295"), 4294967295u);
+    EXPECT_THROW(parseUnsigned("c", "4294967296"), ConfigError);
+    EXPECT_DOUBLE_EQ(parseF64("c", "-2.5e1"), -25.0);
+    for (const char *bad : {"", "nan", "inf", "-inf", "1e999", "1.5x",
+                            " 1"})
+        EXPECT_THROW(parseF64("c", bad), ConfigError) << bad;
+    try {
+        parseU64("--instr", "-5");
+        ADD_FAILURE();
+    } catch (const ConfigError &e) {
+        EXPECT_STREQ(e.what(), "--instr: expected a non-negative integer, "
+                               "got '-5'");
+    }
+}
+
+TEST(KvText, BoolsAndLists)
+{
+    for (const char *t : {"on", "true", "yes", "1"})
+        EXPECT_TRUE(parseBool("c", t));
+    for (const char *f : {"off", "false", "no", "0"})
+        EXPECT_FALSE(parseBool("c", f));
+    EXPECT_THROW(parseBool("c", "maybe"), ConfigError);
+    EXPECT_EQ(splitList("c", " a , b ,c"),
+              (std::vector<std::string>{"a", "b", "c"}));
+    EXPECT_EQ(splitList("c", "8:0", ':'),
+              (std::vector<std::string>{"8", "0"}));
+    for (const char *bad : {"", "a,", ",a", "a,,b", "a, ,b"})
+        EXPECT_THROW(splitList("c", bad), ConfigError) << bad;
 }
 
 } // namespace

@@ -386,11 +386,7 @@ TEST(CkptSystem, ResumeIsBitIdenticalNoSkip)
 
 TEST(CkptSystem, ResumeIsBitIdenticalAcrossSchedulers)
 {
-    for (SchedulerKind k : {SchedulerKind::Tcm, SchedulerKind::Atlas,
-                            SchedulerKind::Parbs, SchedulerKind::Stfm,
-                            SchedulerKind::FairQueue,
-                            SchedulerKind::MemGuard,
-                            SchedulerKind::Mise, SchedulerKind::Fst}) {
+    for (SchedulerKind k : allSchedulers()) {
         SystemConfig cfg = ckptConfig();
         cfg.sched = k;
         expectBitIdenticalResume(cfg,

@@ -49,25 +49,25 @@ TEST(CloudScenario, ParsesEveryKey)
 {
     const ScenarioConfig sc = parseText(
         "# a comment line\n"
-        "name night-shift\n"
-        "seed 99\n"
-        "sockets 3\n"
-        "cores_per_socket 2\n"
-        "window 5000\n"
-        "duration 50000   # trailing comment\n"
-        "arrivals_per_window 1.5\n"
-        "mean_residency_windows 6\n"
-        "diurnal_period 20000\n"
-        "diurnal_min 0.4\n"
-        "max_tenants 7\n"
-        "profiles gcc,mcf\n"
-        "tier_weights 1,0,2\n"
-        "autoscaler off\n"
-        "upgrade_stall_fraction 0.2\n"
-        "downgrade_stall_fraction 0.01\n"
-        "demand_stall_fraction 0.3\n"
-        "telemetry on\n"
-        "sample_interval 2500\n");
+        "name = night-shift\n"
+        "seed = 99\n"
+        "sockets = 3\n"
+        "cores_per_socket = 2\n"
+        "window = 5000\n"
+        "duration = 50000   # trailing comment\n"
+        "arrivals_per_window = 1.5\n"
+        "mean_residency_windows = 6\n"
+        "diurnal_period = 20000\n"
+        "diurnal_min = 0.4\n"
+        "max_tenants = 7\n"
+        "profiles = gcc,mcf\n"
+        "tier_weights = 1,0,2\n"
+        "autoscaler = off\n"
+        "upgrade_stall_fraction = 0.2\n"
+        "downgrade_stall_fraction = 0.01\n"
+        "demand_stall_fraction = 0.3\n"
+        "telemetry = on\n"
+        "sample_interval = 2500\n");
     EXPECT_EQ(sc.name, "night-shift");
     EXPECT_EQ(sc.seed, 99u);
     EXPECT_EQ(sc.sockets, 3u);
@@ -93,7 +93,7 @@ TEST(CloudScenario, ParsesEveryKey)
 TEST(CloudScenario, ErrorsCarryFileAndLine)
 {
     try {
-        parseText("seed 1\nno_such_key 5\n");
+        parseText("seed = 1\nno_such_key = 5\n");
         FAIL() << "expected ScenarioError";
     } catch (const ScenarioError &e) {
         EXPECT_NE(std::string(e.what()).find("test:2"),
@@ -102,27 +102,77 @@ TEST(CloudScenario, ErrorsCarryFileAndLine)
         EXPECT_NE(std::string(e.what()).find("no_such_key"),
                   std::string::npos);
     }
-    EXPECT_THROW(parseText("seed twelve\n"), ScenarioError);
-    EXPECT_THROW(parseText("seed 1 2\n"), ScenarioError);
+    EXPECT_THROW(parseText("seed = twelve\n"), ScenarioError);
+    EXPECT_THROW(parseText("seed = 1 2\n"), ScenarioError);
     EXPECT_THROW(parseText("seed\n"), ScenarioError);
-    EXPECT_THROW(parseText("autoscaler maybe\n"), ScenarioError);
+    EXPECT_THROW(parseText("autoscaler = maybe\n"), ScenarioError);
+}
+
+/** What parseText(text) throws; empty if it parses. */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        parseText(text);
+    } catch (const ScenarioError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(CloudScenario, RejectsNumbersThatWrapOrAreNotFinite)
+{
+    // Each of these used to be accepted: a negative integer wrapped
+    // to 2^64-1, nan/inf slipped past the range checks (nan leaves
+    // the population with no arrivals), and an unsigned field kept
+    // the low 32 bits.
+    for (const char *line :
+         {"seed = -1", "window = -10000", "diurnal_min = nan",
+          "arrivals_per_window = inf", "mean_residency_windows = nan",
+          "sockets = 4294967297", "cores_per_socket = 4294967297",
+          "max_tenants = 4294967297"}) {
+        const std::string err =
+            parseError(std::string("name = x\n") + line + "\n");
+        EXPECT_EQ(err.rfind("test:2: ", 0), 0u) << line << " -> " << err;
+    }
+}
+
+TEST(CloudScenario, OldStyleLineNamesTheFormat)
+{
+    EXPECT_EQ(parseError("# header\nseed 7\n"),
+              "test:2: expected 'key = value'");
+    EXPECT_EQ(parseError("profiles = gcc,,mcf\n").rfind("test:1: ", 0), 0u);
+}
+
+TEST(CloudScenario, CommittedScenariosParse)
+{
+    unsigned n = 0;
+    for (const auto &e : std::filesystem::directory_iterator(
+             std::string(MITTS_REPO_ROOT) + "/scenarios")) {
+        if (e.path().extension() != ".scn")
+            continue;
+        EXPECT_NO_THROW(cloud::parseScenarioFile(e.path().string()))
+            << e.path();
+        ++n;
+    }
+    EXPECT_GT(n, 0u);
 }
 
 TEST(CloudScenario, ValidationRejectsInconsistentConfigs)
 {
-    EXPECT_THROW(parseText("duration 150\nwindow 100\n"),
+    EXPECT_THROW(parseText("duration = 150\nwindow = 100\n"),
                  ScenarioError);
-    EXPECT_THROW(parseText("sockets 0\n"), ScenarioError);
-    EXPECT_THROW(parseText("profiles not_a_profile\n"),
+    EXPECT_THROW(parseText("sockets = 0\n"), ScenarioError);
+    EXPECT_THROW(parseText("profiles = not_a_profile\n"),
                  ScenarioError);
-    EXPECT_THROW(parseText("diurnal_min 0\n"), ScenarioError);
-    EXPECT_THROW(parseText("demand_stall_fraction 1.5\n"),
+    EXPECT_THROW(parseText("diurnal_min = 0\n"), ScenarioError);
+    EXPECT_THROW(parseText("demand_stall_fraction = 1.5\n"),
                  ScenarioError);
 }
 
 TEST(CloudScenario, HashTracksEveryField)
 {
-    const ScenarioConfig a = parseText("seed 1\n");
+    const ScenarioConfig a = parseText("seed = 1\n");
     ScenarioConfig b = a;
     EXPECT_EQ(cloud::scenarioHash(a), cloud::scenarioHash(b));
     b.seed = 2;

@@ -186,6 +186,51 @@ sweep bins  = 8:8:8:8:8:8:8:8:8:8,1024:0:0:0:0:0:0:0:0:0
     EXPECT_EQ(specToText(again), text);
 }
 
+/** What parseSweep(text) throws; empty if it parses. */
+std::string
+sweepError(const std::string &text)
+{
+    std::istringstream in(text);
+    try {
+        parseSweep(in, "test");
+    } catch (const SweepError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(SweepSpec, RejectsNumbersThatWrapOrBreakTheLlc)
+{
+    // Each of these used to be accepted: a negative integer wrapped
+    // to 2^64-5, an unsigned field kept the low 32 bits, and an LLC
+    // without a power-of-two set count reached CacheArray's assert
+    // inside a worker.
+    for (const char *line :
+         {"instr = -5", "seed = -1", "sweep seed = 1,-2",
+          "population = 4294967297", "generations = 4294967297",
+          "llc-kb = 3", "sweep llc-kb = 1024,3", "llc-kb = 0",
+          "apps = mcf,,gcc"}) {
+        const std::string err =
+            sweepError(std::string("name = x\n") + line + "\n");
+        EXPECT_EQ(err.rfind("test:2: ", 0), 0u) << line << " -> " << err;
+    }
+    EXPECT_EQ(sweepError("mode grid\n"), "test:1: expected 'key = value'");
+}
+
+TEST(SweepSpec, CommittedSweepsParse)
+{
+    unsigned n = 0;
+    for (const auto &e : std::filesystem::directory_iterator(
+             std::string(MITTS_REPO_ROOT) + "/sweeps")) {
+        if (e.path().extension() != ".sweep")
+            continue;
+        EXPECT_NO_THROW(validateSweep(parseSweepFile(e.path().string())))
+            << e.path();
+        ++n;
+    }
+    EXPECT_GT(n, 0u);
+}
+
 TEST(SweepSpec, UnitOrderRowMajorLastAxisFastest)
 {
     const SweepSpec spec = smallGrid();

@@ -210,12 +210,7 @@ TEST_P(DeterminismProperty, IdenticalRunsAcrossInstances)
 
 INSTANTIATE_TEST_SUITE_P(
     Schedulers, DeterminismProperty,
-    ::testing::Values(SchedulerKind::Frfcfs, SchedulerKind::Fcfs,
-                      SchedulerKind::FairQueue,
-                      SchedulerKind::Atlas, SchedulerKind::Parbs,
-                      SchedulerKind::Stfm, SchedulerKind::Tcm,
-                      SchedulerKind::Fst, SchedulerKind::MemGuard,
-                      SchedulerKind::Mise));
+    ::testing::ValuesIn(allSchedulers()));
 
 /**
  * Property: adding credits to any bin never slows a single-program

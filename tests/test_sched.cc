@@ -14,8 +14,6 @@
 #include "base/thread_pool.hh"
 #include "dram/dram.hh"
 #include "sched/atlas.hh"
-#include "sched/parbs.hh"
-#include "sched/stfm.hh"
 #include "sched/fair_queue.hh"
 #include "sched/frfcfs.hh"
 #include "sched/fst.hh"
@@ -374,103 +372,6 @@ TEST_F(SchedFixture, AtlasStarvationGuard)
         txn(sameBankOtherRow(0x0), 1, now - 2000) // starved
     };
     EXPECT_EQ(sched.pick(toQueue(q, dram), dram, now), 1);
-}
-
-
-TEST_F(SchedFixture, ParbsServesBatchBeforeNewArrivals)
-{
-    ParbsConfig cfg;
-    cfg.batchCap = 2;
-    ParbsScheduler sched(2, cfg);
-
-    // First pick forms a batch from the current queue.
-    std::vector<ReqPtr> q{txn(0x0, 0, 1, 1), txn(0x40, 0, 2, 2)};
-    const int first = sched.pick(toQueue(q, dram), dram, 500);
-    ASSERT_GE(first, 0);
-    q.erase(q.begin() + first);
-    EXPECT_GT(sched.batchRemaining(), 0u);
-
-    // A newer arrival (not marked) must wait behind the batch even
-    // if it is a row hit.
-    q.push_back(txn(0x80, 1, 600, 3)); // same open row as served req
-    const int second = sched.pick(toQueue(q, dram), dram, 700);
-    ASSERT_GE(second, 0);
-    EXPECT_EQ(q[second]->seq, q[0]->seq); // the remaining batch req
-}
-
-TEST_F(SchedFixture, ParbsShortestJobFirstRanking)
-{
-    ParbsConfig cfg;
-    cfg.batchCap = 5;
-    ParbsScheduler sched(2, cfg);
-
-    // Core 0 has 4 requests, core 1 has 1: core 1 ranks higher.
-    std::vector<ReqPtr> q;
-    for (SeqNum i = 0; i < 4; ++i)
-        q.push_back(txn(i * 0x40000, 0, i, i));
-    q.push_back(txn(0x900000, 1, 10, 10));
-    const int pick = sched.pick(toQueue(q, dram), dram, 500);
-    ASSERT_GE(pick, 0);
-    EXPECT_EQ(q[pick]->core, 1);
-}
-
-TEST_F(SchedFixture, ParbsCapLimitsBatchShare)
-{
-    ParbsConfig cfg;
-    cfg.batchCap = 1;
-    ParbsScheduler sched(2, cfg);
-    std::vector<ReqPtr> q{txn(0x0, 0, 1, 1), txn(0x40000, 0, 2, 2),
-                          txn(0x80000, 1, 3, 3)};
-    sched.pick(toQueue(q, dram), dram, 500);
-    // Batch holds one request per core (2), not all three.
-    EXPECT_LE(sched.batchRemaining(), 2u);
-}
-
-TEST(Stfm, PrioritizesWhenUnfair)
-{
-    StfmConfig cfg;
-    cfg.epochLength = 100;
-    cfg.updatePeriod = 200;
-    cfg.unfairnessThresh = 1.10;
-    StfmScheduler sched(2, cfg);
-
-    // Core 0 suffers: high alone rate, low shared rate.
-    for (Tick t = 1; t <= 4000; ++t) {
-        if (t % 100 == 0) {
-            const bool m0 = sched.boostedCore() == 0;
-            for (int i = 0; i < (m0 ? 30 : 2); ++i) {
-                auto r = txn(0, 0, t, i);
-                sched.onComplete(*r, t);
-            }
-            for (int i = 0; i < 10; ++i) {
-                auto r = txn(0, 1, t, i);
-                sched.onComplete(*r, t);
-            }
-        }
-        sched.tick(t);
-    }
-    EXPECT_EQ(sched.prioritized(), 0);
-}
-
-TEST(Stfm, FairSystemFallsBackToFrfcfs)
-{
-    StfmConfig cfg;
-    cfg.epochLength = 100;
-    cfg.updatePeriod = 200;
-    StfmScheduler sched(2, cfg);
-    // Symmetric service: no one prioritized.
-    for (Tick t = 1; t <= 3000; ++t) {
-        if (t % 100 == 0) {
-            for (int i = 0; i < 10; ++i) {
-                auto ra = txn(0, 0, t, i);
-                sched.onComplete(*ra, t);
-                auto rb = txn(0, 1, t, i);
-                sched.onComplete(*rb, t);
-            }
-        }
-        sched.tick(t);
-    }
-    EXPECT_EQ(sched.prioritized(), kNoCore);
 }
 
 // ---------------------------------------------------------------

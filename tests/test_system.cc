@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "base/kv_text.hh"
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "system/system.hh"
@@ -88,12 +92,32 @@ TEST_P(AllSchedulers, MultiProgramRunsAndProgresses)
 
 INSTANTIATE_TEST_SUITE_P(
     Schedulers, AllSchedulers,
-    ::testing::Values(SchedulerKind::Frfcfs, SchedulerKind::Fcfs,
-                      SchedulerKind::FairQueue,
-                      SchedulerKind::Atlas, SchedulerKind::Parbs,
-                      SchedulerKind::Stfm, SchedulerKind::Tcm,
-                      SchedulerKind::Fst, SchedulerKind::MemGuard,
-                      SchedulerKind::Mise));
+    ::testing::ValuesIn(allSchedulers()));
+
+TEST(NameRegistry, CliNamesRoundTrip)
+{
+    for (SchedulerKind k : allSchedulers())
+        EXPECT_EQ(schedulerFromName(schedulerCliName(k)), k);
+    for (const auto &[g, name] : kGates)
+        EXPECT_EQ(gateFromName(name), g);
+    EXPECT_THROW(schedulerFromName("parbs"), ConfigError);
+    EXPECT_THROW(schedulerFromName("FR-FCFS"), ConfigError);
+    EXPECT_THROW(gateFromName("Static"), ConfigError);
+}
+
+TEST(NameRegistry, DisplayNamesUniqueAndUnchanged)
+{
+    // Reports and bench tables print these; they must not drift.
+    std::vector<std::string> names;
+    for (SchedulerKind k : allSchedulers())
+        names.push_back(schedulerName(k));
+    EXPECT_EQ(names, (std::vector<std::string>{"FR-FCFS", "FCFS",
+                                               "FairQueue", "ATLAS", "TCM",
+                                               "SourceThro", "MemGuard",
+                                               "MISE"}));
+    EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+              names.size());
+}
 
 TEST(System, MittsGateInstalledPerCore)
 {

@@ -5,7 +5,7 @@ rule's behavior changes, so stale cached findings can never leak into
 a run with different rules.
 """
 
-RULESET_VERSION = "detlint-2.0"
+RULESET_VERSION = "detlint-2.1"
 
 RULES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
          "R9", "R10", "R11")

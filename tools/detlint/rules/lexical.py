@@ -135,7 +135,7 @@ def check_r2(path, code, report):
         report("R2", line,
                "iteration over unordered container '%s'; order is "
                "not deterministic. hint: collect and sort keys "
-               "first (see SharedLlc::saveState / PAR-BS)" % target)
+               "first (see SharedLlc::saveState)" % target)
 
 
 # --------------------------------------------------------------- R3

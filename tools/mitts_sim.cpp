@@ -5,32 +5,28 @@
  *   mitts_sim --apps gcc,mcf,bzip,sjeng --sched tcm --instr 200000
  *   mitts_sim --apps mcf --gate mitts --bins 40,0,0,0,0,0,0,0,0,25
  *   mitts_sim --apps mcf,libquantum --gate mitts --tune fairness
- *   mitts_sim --list-apps
+ *   mitts_sim --scenario scenarios/ci-small.scn --scenario-out out
  *
- * Run with --help for the full flag reference.
+ * Each flag is one kFlags row: parsing, --help and the mode checks.
  */
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "analytic/analytic_model.hh"
+#include "base/kv_text.hh"
+#include "cache/cache_array.hh"
 #include "ckpt/serialize.hh"
 #include "cloud/engine.hh"
-#include "cloud/scenario.hh"
 #include "system/runner.hh"
 #include "system/system.hh"
-#include "trace/app_profile.hh"
 #include "tuner/offline_tuner.hh"
 
 using namespace mitts;
@@ -40,72 +36,37 @@ namespace
 
 constexpr const char *kToolVersion = "1.4.0";
 
-[[noreturn]] void
-usage(int code)
+/** Everything the flags set. */
+struct Options
 {
-    std::printf(R"(mitts_sim - MITTS multicore memory-system simulator
+    SystemConfig cfg;
+    std::uint64_t instr = 200'000, cycles = 0, ckptEvery = 0, until = 0;
+    bool stats = false, analytic = false, prefilter = false;
+    std::optional<Objective> tune;
+    std::string ckptOut, restore, scenario, scenarioOut;
+    std::vector<std::uint32_t> bins;
+    double staticGbps = 0.0;
+};
 
-  --apps a,b,c       application mix (see --list-apps); required
-  --backend B        cycle (default) | analytic: the cycle-accurate
-                     simulator, or the closed-form M/D/1 fast model
-  --sched NAME       frfcfs|fcfs|fairqueue|atlas|parbs|stfm|tcm|fst|memguard|mise
-  --gate KIND        none|mitts|static
-  --bins k0,..,k9    MITTS credits for every core (implies --gate mitts)
-  --static-gbps G    per-core static rate limit in GB/s
-  --tune OBJ         offline GA: throughput|fairness (implies mitts)
-  --prefilter        rank each GA generation with the analytic model
-                     and simulate only the top half (with --tune)
-  --instr N          instructions per core to complete (default 200000)
-  --cycles N         run a fixed cycle count instead
-  --llc BYTES        shared LLC size (default 1MiB; k/m suffixes ok)
-  --noc WxH          enable the mesh NoC with the given dimensions
-  --seed S           simulation seed (default 12345)
-  --stats            dump full component statistics at the end
-  --no-skip          execute every cycle (disable quiescence skip-ahead)
-  --telemetry-out D  write windowed time-series CSV (and trace) to D
-  --sample-interval N  telemetry window length in cycles (default 10000)
-  --trace-events     also emit Chrome trace-event JSON (chrome://tracing)
-  --checkpoint-out D write checkpoints to D (final one always; periodic
-                     ones with --checkpoint-every)
-  --checkpoint-every N  also checkpoint at every N-cycle boundary
-  --restore FILE     resume from a checkpoint written by an identically
-                     configured run (pass the same flags again)
-  --scenario FILE    run a cloud multi-tenant scenario (src/cloud/);
-                     combines only with the scenario flags below plus
-                     --stats and --no-skip
-  --scenario-out D   write billing.csv / summary.txt (and per-socket
-                     telemetry when the scenario enables it) to D
-                     instead of stdout
-  --scenario-until N stop the scenario at cycle N (window multiple)
-  with --scenario, --checkpoint-out/--checkpoint-every/--restore take
-  directories: one socketN.mitts per socket plus cloud.mitts
-  --list-apps        print the workload registry and exit
-  --version          print version and checkpoint format, then exit
-  --help             this text
+// Flag::modes bits: accepted in single-system runs, accepted with
+// --scenario, rejected with --backend analytic.
+enum : unsigned { kSingle = 1, kScenario = 2, kCycleOnly = 4, kTelOn = 8 };
+constexpr unsigned kBoth = kSingle | kScenario;
+/** The telemetry flags, each of which also switches telemetry on. */
+constexpr unsigned kTelemetry = kSingle | kCycleOnly | kTelOn;
 
-exit codes:
-  0  success
-  1  configuration or runtime error (unknown app/scheduler, bad bin
-     count, simulation failure)
-  2  usage error: unknown flag, malformed or out-of-range numeric
-     value (--instr/--cycles/--seed/--sample-interval/
-     --checkpoint-every must be positive integers, --static-gbps a
-     positive number), a conflicting combination (--tune with
-     checkpointing, --checkpoint-every without --checkpoint-out,
-     --prefilter without --tune, --backend analytic with any
-     cycle-accurate-only flag: --cycles --stats --no-skip
-     --telemetry-out --sample-interval --trace-events
-     --checkpoint-out --checkpoint-every --restore --tune,
-     --scenario with any single-system flag such as --apps or
-     --tune), or an invalid/corrupt/mismatched checkpoint
+struct Flag
+{
+    const char *name;
+    const char *arg; ///< value placeholder; nullptr = a switch
+    unsigned modes;
+    const char *help;
+    void (*apply)(Options &o, const char *flag, const std::string &v);
+};
 
-every rejected combination prints a one-line reason on stderr.
-)");
-    std::exit(code);
-}
+[[noreturn]] void usage(int code);
 
-/** One-line usage-error reason on stderr, exit 2 (no usage dump —
- *  scripts keying on stderr want exactly one line). */
+/** A one-line reason on stderr (scripts key on it), exit 2. */
 [[noreturn]] void
 usageError(const std::string &msg)
 {
@@ -113,252 +74,360 @@ usageError(const std::string &msg)
     std::exit(2);
 }
 
-/** Checked u64 parse: the whole token must be digits and fit. */
 std::uint64_t
-parseU64(const std::string &flag, const std::string &s)
+positive(const char *flag, const std::string &v)
 {
-    if (s.empty() ||
-        s.find_first_not_of("0123456789") != std::string::npos)
-        usageError(flag + " expects a non-negative integer, got '" +
-                   s + "'");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (errno == ERANGE)
-        usageError(flag + " value out of range: '" + s + "'");
-    return v;
+    const std::uint64_t n = parseU64(flag, v);
+    if (n == 0)
+        configFail(flag, "must be a positive integer, got '0'");
+    return n;
 }
 
-/** Checked u64 parse that additionally rejects zero. */
-std::uint64_t
-parsePositiveU64(const std::string &flag, const std::string &s)
+/** Whether `v` is `b` rather than `a`; ConfigError if neither. */
+bool
+oneOf(const char *flag, const std::string &v, const char *a, const char *b)
 {
-    const std::uint64_t v = parseU64(flag, s);
-    if (v == 0)
-        usageError(flag + " must be a positive integer, got '" + s +
-                   "'");
-    return v;
+    if (v != a && v != b)
+        configFail(flag, std::string("expects ") + a + " or " + b +
+                             ", got '" + v + "'");
+    return v == b;
 }
 
-/** Checked double parse rejecting non-numeric/non-finite/<=0. */
-double
-parsePositiveDouble(const std::string &flag, const std::string &s)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (s.empty() || end == s.c_str() || (end && *end) ||
-        !std::isfinite(v) || v <= 0.0)
-        usageError(flag + " expects a positive number, got '" + s +
-                   "'");
-    return v;
-}
+// Short aliases keep the table's lambda signatures on one line.
+using O = Options;
+using F = const char *;
+using S = const std::string &;
+const Flag kFlags[] = {
+    {"--apps", "a,b,c", kSingle, "application mix (see --list-apps); required",
+     [](O &o, F f, S v) { o.cfg.apps = splitList(f, v); }},
+    {"--backend", "B", kSingle, "cycle (default) | analytic (closed-form)",
+     [](O &o, F f, S v) { o.analytic = oneOf(f, v, "cycle", "analytic"); }},
+    {"--sched", "NAME", kSingle, "memory scheduler (list below)",
+     [](O &o, F, S v) { o.cfg.sched = schedulerFromName(v); }},
+    {"--gate", "KIND", kSingle, "source gate (list below)",
+     [](O &o, F, S v) { o.cfg.gate = gateFromName(v); }},
+    {"--bins", "k0,..,k9", kSingle, "MITTS credits per core (implies mitts)",
+     [](O &o, F f, S v) {
+         o.cfg.gate = GateKind::Mitts;
+         o.bins.clear();
+         for (const auto &tok : splitList(f, v))
+             o.bins.push_back(parseUnsigned(f, tok));
+         if (o.bins.size() != o.cfg.binSpec.numBins)
+             configFail(f, "expects one credit per bin, got '" + v + "'");
+     }},
+    {"--static-gbps", "G", kSingle, "per-core static rate limit in GB/s",
+     [](O &o, F f, S v) {
+         o.cfg.gate = GateKind::Static;
+         o.staticGbps = parseF64(f, v);
+         if (o.staticGbps <= 0.0)
+             configFail(f, "expects a positive number, got '" + v + "'");
+     }},
+    {"--tune", "OBJ", kSingle | kCycleOnly, "offline GA: throughput|fairness",
+     [](O &o, F f, S v) {
+         const bool fair = oneOf(f, v, "throughput", "fairness");
+         o.tune = fair ? Objective::Fairness : Objective::Throughput;
+         o.cfg.gate = GateKind::Mitts;
+     }},
+    {"--prefilter", nullptr, kSingle, "--tune simulates the analytic top half",
+     [](O &o, F, S) { o.prefilter = true; }},
+    {"--instr", "N", kSingle, "instructions per core (default 200000)",
+     [](O &o, F f, S v) { o.instr = positive(f, v); }},
+    {"--cycles", "N", kSingle | kCycleOnly, "run a fixed cycle count instead",
+     [](O &o, F f, S v) { o.cycles = positive(f, v); }},
+    {"--llc", "BYTES", kSingle, "shared LLC size (default 1MiB; k/m ok)",
+     [](O &o, F f, S v) {
+         const int unit = v.empty() ? 0 : std::tolower(v.back());
+         const double mul = unit == 'k' ? 1 << 10 : unit == 'm' ? 1 << 20 : 1;
+         const double bytes =
+             parseF64(f, mul > 1 ? v.substr(0, v.size() - 1) : v) * mul;
+         if (!(bytes > 0.0 && bytes < 1e15))
+             configFail(f, "expected a positive size, got '" + v + "'");
+         o.cfg.llc.sizeBytes = static_cast<std::size_t>(bytes);
+         if (const char *bad = cacheGeometryError(o.cfg.llc.sizeBytes,
+                                                  o.cfg.llc.assoc))
+             configFail(f, "'" + v + "': " + bad);
+     }},
+    {"--noc", "WxH", kSingle, "enable the mesh NoC with these dimensions",
+     [](O &o, F f, S v) {
+         const auto dims = splitList(f, v, 'x');
+         if (dims.size() != 2)
+             configFail(f, "expects WxH, got '" + v + "'");
+         o.cfg.noc.enabled = true;
+         o.cfg.noc.width = parseUnsigned(f, dims[0]);
+         o.cfg.noc.height = parseUnsigned(f, dims[1]);
+         if (o.cfg.noc.width == 0 || o.cfg.noc.height == 0)
+             configFail(f, "dimensions must be positive, got '" + v + "'");
+     }},
+    {"--seed", "S", kSingle, "simulation seed (default 12345)",
+     [](O &o, F f, S v) { o.cfg.seed = parseU64(f, v); }},
+    {"--stats", nullptr, kBoth | kCycleOnly, "dump component statistics",
+     [](O &o, F, S) { o.stats = true; }},
+    {"--no-skip", nullptr, kBoth | kCycleOnly, "disable skip-ahead",
+     [](O &o, F, S) { o.cfg.sim.skipAhead = false; }},
+    {"--telemetry-out", "D", kTelemetry, "write time-series CSV (+trace) to D",
+     [](O &o, F, S v) { o.cfg.telemetry.outDir = v; }},
+    {"--sample-interval", "N", kTelemetry, "telemetry window (default 10000)",
+     [](O &o, F f, S v) { o.cfg.telemetry.sampleInterval = positive(f, v); }},
+    {"--trace-events", nullptr, kTelemetry, "also emit Chrome trace JSON",
+     [](O &o, F, S) { o.cfg.telemetry.traceEvents = true; }},
+    {"--checkpoint-out", "D", kBoth | kCycleOnly, "write checkpoints to D",
+     [](O &o, F, S v) { o.ckptOut = v; }},
+    {"--checkpoint-every", "N", kBoth | kCycleOnly, "also every N cycles",
+     [](O &o, F f, S v) { o.ckptEvery = positive(f, v); }},
+    {"--restore", "FILE", kBoth | kCycleOnly, "resume an identical run",
+     [](O &o, F, S v) { o.restore = v; }},
+    {"--scenario", "FILE", kScenario, "run a cloud scenario (checkpoint dirs)",
+     [](O &o, F, S v) { o.scenario = v; }},
+    {"--scenario-out", "D", kScenario, "write billing/summary/telemetry to D",
+     [](O &o, F, S v) { o.scenarioOut = v; }},
+    {"--scenario-until", "N", kScenario, "stop at cycle N (window multiple)",
+     [](O &o, F f, S v) { o.until = positive(f, v); }},
+    {"--list-apps", nullptr, kSingle, "print the workload registry and exit",
+     [](O &, F, S) {
+         for (const auto &n : allProfileNames())
+             std::printf("%-14s threads=%u ws=%lluKiB\n", n.c_str(),
+                         appProfile(n).numThreads,
+                         static_cast<unsigned long long>(
+                             appProfile(n).workingSetBytes / 1024));
+         std::exit(0);
+     }},
+    {"--version", nullptr, kSingle, "print versions and exit", [](O &, F, S) {
+         std::printf("mitts_sim %s (checkpoint format v%u)\n", kToolVersion,
+                     ckpt::kFormatVersion);
+         std::exit(0);
+     }},
+    {"--help", nullptr, kBoth, "this text", [](O &, F, S) { usage(0); }},
+};
 
-std::vector<std::string>
-split(const std::string &s, char sep)
+void
+usage(int code)
 {
-    std::vector<std::string> out;
-    std::stringstream ss(s);
-    std::string item;
-    while (std::getline(ss, item, sep)) {
-        if (!item.empty())
-            out.push_back(item);
+    std::printf("mitts_sim - MITTS multicore memory-system simulator\n\n");
+    for (const Flag &f : kFlags) {
+        const std::string arg = f.arg ? f.arg : "";
+        std::printf("  %-18s %s%s%s\n", (f.name + (" " + arg)).c_str(), f.help,
+                    (f.modes & kBoth) == kBoth ? " [+scenario]" : "",
+                    f.modes & kCycleOnly ? " [cycle-only]" : "");
     }
-    return out;
+    std::printf(R"(
+[+scenario]: also accepted with --scenario (which takes only these and
+the --scenario-* flags); [cycle-only]: rejected by --backend analytic.
+schedulers: %s
+gates:      %s
+
+exit codes: 0 success; 1 configuration or runtime error (unknown app,
+bad scenario file); 2 usage error (unknown flag or name, malformed
+value, conflicting flags) or a bad checkpoint, with a one-line reason
+on stderr.
+)",
+                schedulerNameList().c_str(), gateNameList().c_str());
+    std::exit(code);
 }
 
-std::size_t
-parseBytes(const std::string &s)
+Options
+parseArgs(int argc, char **argv)
 {
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    std::size_t mul = 1;
-    if (end && *end) {
-        switch (*end) {
-          case 'k':
-          case 'K':
-            mul = 1024;
-            break;
-          case 'm':
-          case 'M':
-            mul = 1024 * 1024;
-            break;
-          default:
-            fatal("bad size suffix in '", s, "'");
-        }
-    }
-    return static_cast<std::size_t>(v * static_cast<double>(mul));
-}
-
-SchedulerKind
-parseSched(const std::string &s)
-{
-    if (s == "frfcfs")
-        return SchedulerKind::Frfcfs;
-    if (s == "fcfs")
-        return SchedulerKind::Fcfs;
-    if (s == "fairqueue")
-        return SchedulerKind::FairQueue;
-    if (s == "atlas")
-        return SchedulerKind::Atlas;
-    if (s == "parbs")
-        return SchedulerKind::Parbs;
-    if (s == "stfm")
-        return SchedulerKind::Stfm;
-    if (s == "tcm")
-        return SchedulerKind::Tcm;
-    if (s == "fst")
-        return SchedulerKind::Fst;
-    if (s == "memguard")
-        return SchedulerKind::MemGuard;
-    if (s == "mise")
-        return SchedulerKind::Mise;
-    fatal("unknown scheduler '", s, "'");
-}
-
-/**
- * Dedicated flag loop for --scenario runs. The scenario file owns the
- * machine shape and workloads, so every single-system flag is a
- * conflict (exit 2), not a silent no-op.
- */
-int
-runScenarioMode(int argc, char **argv)
-{
-    std::string scen_path, out_dir, ckpt_out, restore_dir;
-    Tick ckpt_every = 0, until = 0;
-    SimulationConfig sim_cfg;
-    bool dump_stats = false;
-
-    auto need = [&](int &i) -> std::string {
-        if (i + 1 >= argc)
-            usageError(std::string(argv[i]) + " needs a value");
-        return argv[++i];
-    };
+    Options o;
+    const bool scenario =
+        std::find(argv + 1, argv + argc, std::string("--scenario")) !=
+        argv + argc;
+    const char *cycle_only = nullptr;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--help") {
-            usage(0);
-        } else if (arg == "--scenario") {
-            scen_path = need(i);
-        } else if (arg == "--scenario-out") {
-            out_dir = need(i);
-        } else if (arg == "--scenario-until") {
-            until = parsePositiveU64("--scenario-until", need(i));
-        } else if (arg == "--no-skip") {
-            sim_cfg.skipAhead = false;
-        } else if (arg == "--stats") {
-            dump_stats = true;
-        } else if (arg == "--checkpoint-out") {
-            ckpt_out = need(i);
-        } else if (arg == "--checkpoint-every") {
-            ckpt_every =
-                parsePositiveU64("--checkpoint-every", need(i));
-        } else if (arg == "--restore") {
-            restore_dir = need(i);
-        } else {
-            usageError("--scenario cannot be combined with " + arg);
+        const Flag *f = std::find_if(
+            std::begin(kFlags), std::end(kFlags),
+            [&arg](const Flag &fl) { return arg == fl.name; });
+        if (f == std::end(kFlags))
+            usageError("unknown flag: " + arg);
+        if (!(f->modes & (scenario ? kScenario : kSingle)))
+            usageError(scenario ? "--scenario cannot be combined with " + arg
+                                : arg + " only applies with --scenario");
+        if (f->arg && i + 1 >= argc)
+            usageError(arg + " needs a value");
+        try {
+            f->apply(o, f->name, f->arg ? argv[++i] : "");
+        } catch (const ConfigError &e) {
+            usageError(e.what());
         }
+        if ((f->modes & kCycleOnly) && !cycle_only)
+            cycle_only = f->name;
+        if (f->modes & kTelOn)
+            o.cfg.telemetry.enabled = true;
     }
-    if (ckpt_every > 0 && ckpt_out.empty())
+    if (o.ckptEvery > 0 && o.ckptOut.empty())
         usageError("--checkpoint-every needs --checkpoint-out");
+    if (scenario)
+        return o;
+    if (o.cfg.apps.empty())
+        usageError("--apps is required");
+    if (o.tune && (!o.ckptOut.empty() || !o.restore.empty()))
+        usageError("--tune cannot be combined with checkpointing");
+    if (o.prefilter && !o.tune)
+        usageError("--prefilter only applies to --tune runs");
+    if (o.analytic && cycle_only)
+        usageError(std::string(cycle_only) + " needs --backend cycle");
+    return o;
+}
 
-    cloud::ScenarioConfig sc;
-    try {
-        sc = cloud::parseScenarioFile(scen_path);
-    } catch (const cloud::ScenarioError &e) {
-        std::fprintf(stderr, "mitts_sim: %s\n", e.what());
-        return 1;
+/** Checkpoint `tag`: a directory of per-socket images with --scenario. */
+std::string
+ckptPath(const Options &o, const std::string &tag)
+{
+    return o.ckptOut + "/ckpt-" + tag + (o.scenario.empty() ? ".mitts" : "");
+}
+
+/** Apply --restore, then call `step(next)` until it reports the run
+ *  done, checkpointing at each absolute `every`-cycle boundary `next`
+ *  (where the uninterrupted run would) on the way to cycle `end`. */
+template <typename Target, typename Step>
+void
+runCheckpointed(Target &t, const Options &o, Tick every, Tick end, Step step)
+{
+    if (!o.restore.empty()) {
+        t.restoreCheckpoint(o.restore);
+        std::printf("restored %s at cycle %llu\n", o.restore.c_str(),
+                    static_cast<unsigned long long>(t.now()));
     }
-    if (until > 0 && until % sc.windowCycles != 0)
-        usageError("--scenario-until must be a multiple of the "
-                   "scenario window (" +
-                   std::to_string(sc.windowCycles) + ")");
-    if (ckpt_every > 0 && ckpt_every % sc.windowCycles != 0)
-        usageError("--checkpoint-every must be a multiple of the "
-                   "scenario window (" +
-                   std::to_string(sc.windowCycles) + ")");
-
-    std::unique_ptr<cloud::CloudEngine> eng;
-    try {
-        eng = std::make_unique<cloud::CloudEngine>(sc, out_dir,
-                                                   sim_cfg);
-    } catch (const cloud::ScenarioError &e) {
-        std::fprintf(stderr, "mitts_sim: %s\n", e.what());
-        return 1;
-    }
-
-    if (!restore_dir.empty()) {
-        try {
-            eng->restoreCheckpoint(restore_dir);
-        } catch (const ckpt::Error &e) {
-            std::fprintf(stderr,
-                         "mitts_sim: cannot restore '%s': %s\n",
-                         restore_dir.c_str(), e.what());
-            return 2;
-        }
-        std::printf("restored %s at cycle %llu\n",
-                    restore_dir.c_str(),
-                    static_cast<unsigned long long>(eng->now()));
-    }
-
-    const Tick target = until > 0 ? until : sc.durationCycles;
-    if (target < eng->now())
-        usageError("--scenario-until is before the restored cycle");
-    if (!ckpt_out.empty())
-        std::filesystem::create_directories(ckpt_out);
-    auto save_ckpt = [&](const std::string &tag) {
-        try {
-            eng->saveCheckpoint(ckpt_out + "/ckpt-" + tag);
-        } catch (const ckpt::Error &e) {
-            std::fprintf(stderr,
-                         "mitts_sim: checkpoint failed: %s\n",
-                         e.what());
-            std::exit(2);
-        }
-    };
-    Tick next_ckpt = kTickNever;
-    if (ckpt_every > 0)
-        next_ckpt = (eng->now() / ckpt_every + 1) * ckpt_every;
-    while (eng->now() < target) {
-        eng->runUntil(std::min(target, next_ckpt));
-        if (eng->now() >= next_ckpt) {
-            save_ckpt(std::to_string(eng->now()));
-            next_ckpt += ckpt_every;
+    if (t.now() > end)
+        usageError("the checkpoint is already past the end cycle");
+    if (!o.ckptOut.empty())
+        std::filesystem::create_directories(o.ckptOut);
+    Tick next = every > 0 ? (t.now() / every + 1) * every : kTickNever;
+    for (bool done = false; !done;) {
+        done = step(next);
+        if (t.now() >= next) {
+            t.saveCheckpoint(ckptPath(o, std::to_string(t.now())));
+            next += every;
         }
     }
-    if (!ckpt_out.empty()) {
-        save_ckpt("final");
-        std::printf("checkpoint: %s/ckpt-final\n", ckpt_out.c_str());
-    }
-    eng->finalizeTelemetry();
+}
 
-    if (out_dir.empty()) {
-        std::ostringstream os;
-        eng->writeSummary(os);
-        os << "\n";
-        eng->writeBillingCsv(os);
-        std::fputs(os.str().c_str(), stdout);
+template <typename Target>
+void
+saveFinal(Target &t, const Options &o)
+{
+    if (o.ckptOut.empty())
+        return;
+    t.saveCheckpoint(ckptPath(o, "final"));
+    std::printf("checkpoint: %s\n", ckptPath(o, "final").c_str());
+}
+
+int
+runScenario(const Options &o)
+{
+    const cloud::ScenarioConfig sc = cloud::parseScenarioFile(o.scenario);
+    if (o.until % sc.windowCycles || o.ckptEvery % sc.windowCycles)
+        usageError("--scenario-until and --checkpoint-every must be "
+                   "multiples of the scenario window");
+    cloud::CloudEngine eng(sc, o.scenarioOut, o.cfg.sim);
+    const Tick end = o.until > 0 ? o.until : sc.durationCycles;
+    runCheckpointed(eng, o, o.ckptEvery, end, [&](Tick next) {
+        eng.runUntil(std::min(end, next));
+        return eng.now() >= end;
+    });
+    saveFinal(eng, o);
+    eng.finalizeTelemetry();
+    eng.writeReports(o.scenarioOut, o.stats, std::cout);
+    return 0;
+}
+
+int
+runSingle(const Options &o)
+{
+    SystemConfig cfg = o.cfg;
+    if (cfg.telemetry.enabled && cfg.telemetry.outDir.empty())
+        cfg.telemetry.outDir = "telemetry_out";
+    // The same purchased distribution / rate limit on every core.
+    unsigned cores = 0;
+    for (const auto &app : cfg.apps)
+        cores += appProfile(app).numThreads;
+    if (!o.bins.empty())
+        cfg.mittsConfigs.assign(cores, BinConfig(cfg.binSpec, o.bins));
+    if (o.staticGbps > 0.0)
+        cfg.staticIntervals.assign(cores, 64.0 * cfg.cpuGhz / o.staticGbps);
+
+    if (o.analytic) {
+        analytic::printReport(stdout, analytic::AnalyticModel().evaluate(cfg));
+        return 0;
+    }
+    const RunnerOptions opts{o.instr, 400 * o.instr};
+    if (o.tune) {
+        if (cfg.telemetry.enabled) {
+            std::fprintf(stderr, "note: telemetry flags are ignored with "
+                                 "--tune (the GA runs many systems)\n");
+            cfg.telemetry = telemetry::TelemetryOptions{};
+        }
+        std::printf("computing alone-run baselines...\n");
+        const auto alone = aloneCyclesForAll(cfg, opts);
+        std::printf("running offline GA (%s)...\n", objectiveName(*o.tune));
+        OfflineTunerOptions topts;
+        topts.run = opts;
+        topts.ga.populationSize = 12;
+        topts.ga.generations = 6;
+        topts.prefilter.enabled = o.prefilter;
+        const auto t = tuneMultiProgram(cfg, alone, *o.tune, 0, topts);
+        std::printf("best configs:\n");
+        for (std::size_t c = 0; c < t.best.size(); ++c)
+            std::printf("  core %zu: %s\n", c, t.best[c].toString().c_str());
+        std::printf("S_avg=%.3f S_max=%.3f\nevaluations: %llu "
+                    "cycle-accurate, %llu analytic\n",
+                    t.metrics.savg, t.metrics.smax,
+                    static_cast<unsigned long long>(t.caEvaluations),
+                    static_cast<unsigned long long>(t.analyticEvaluations));
+        return 0;
+    }
+
+    System sys(cfg);
+    if (o.cycles > 0) {
+        // An absolute endpoint: a restored run ends where it would have.
+        runCheckpointed(sys, o, o.ckptEvery, o.cycles, [&](Tick next) {
+            sys.run(std::min(o.cycles, next) - sys.now());
+            return sys.now() >= o.cycles;
+        });
+        std::printf("%-14s %14s %10s\n", "app", "instructions", "IPC/core");
+        for (unsigned a = 0; a < sys.numApps(); ++a) {
+            std::uint64_t instr = 0;
+            for (CoreId c : sys.coresOfApp(a))
+                instr += sys.core(c).instructions();
+            std::printf("%-14s %14llu %10.3f\n", sys.appName(a).c_str(),
+                        static_cast<unsigned long long>(instr),
+                        static_cast<double>(instr) /
+                            static_cast<double>(o.cycles) /
+                            static_cast<double>(sys.coresOfApp(a).size()));
+        }
     } else {
-        std::filesystem::create_directories(out_dir);
-        std::ofstream bill(out_dir + "/billing.csv");
-        eng->writeBillingCsv(bill);
-        std::ofstream summ(out_dir + "/summary.txt");
-        eng->writeSummary(summ);
-        std::ostringstream echo;
-        eng->writeSummary(echo);
-        std::fputs(echo.str().c_str(), stdout);
-        std::printf("billing:  %s/billing.csv\n", out_dir.c_str());
+        // One step; checkpoints land on a batch boundary instead.
+        std::vector<AppResult> results;
+        runCheckpointed(sys, o, 0, kTickNever, [&](Tick) {
+            const Tick every = o.ckptEvery ? o.ckptEvery : kTickNever;
+            Tick next = (sys.now() / every + 1) * every;
+            sys.setBatchCallback([&](Tick now) {
+                if (now >= next)
+                    sys.saveCheckpoint(ckptPath(o, std::to_string(now)));
+                while (next <= now)
+                    next += every;
+            });
+            results = sys.runUntilInstructions(o.instr, opts.maxCycles);
+            return true;
+        });
+        std::printf("%-14s %12s %12s %10s\n", "app", "cycles", "mem-stalls",
+                    "IPC");
+        for (const auto &r : results)
+            std::printf("%-14s %12llu %12llu %10.3f\n", r.name.c_str(),
+                        static_cast<unsigned long long>(r.completedAt),
+                        static_cast<unsigned long long>(r.memStallCycles),
+                        static_cast<double>(r.instructions) /
+                            static_cast<double>(r.completedAt));
     }
-    if (dump_stats) {
-        std::ostringstream ss;
-        eng->dumpStats(ss);
-        if (out_dir.empty()) {
-            std::printf("\n---- statistics ----\n");
-            std::fputs(ss.str().c_str(), stdout);
-        } else {
-            std::ofstream sf(out_dir + "/stats.txt");
-            sf << ss.str();
-            std::printf("stats:    %s/stats.txt\n", out_dir.c_str());
-        }
+    saveFinal(sys, o);
+    if (o.stats)
+        sys.dumpStats(std::cout << "\n---- statistics ----\n");
+    if (const auto *tel = sys.telemetry()) {
+        sys.finalizeTelemetry();
+        std::printf("telemetry: %s\n", tel->csvPath().c_str());
+        if (!tel->tracePath().empty())
+            std::printf("trace:     %s  (open in chrome://tracing or "
+                        "ui.perfetto.dev)\n", tel->tracePath().c_str());
     }
     return 0;
 }
@@ -368,355 +437,14 @@ runScenarioMode(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--scenario") == 0)
-            return runScenarioMode(argc, argv);
+    const Options o = parseArgs(argc, argv);
+    try {
+        return o.scenario.empty() ? runSingle(o) : runScenario(o);
+    } catch (const ckpt::Error &e) {
+        std::fprintf(stderr, "mitts_sim: checkpoint: %s\n", e.what());
+        return 2;
+    } catch (const ConfigError &e) {
+        std::fprintf(stderr, "mitts_sim: %s\n", e.what());
+        return 1;
     }
-
-    SystemConfig cfg;
-    std::uint64_t instr_target = 200'000;
-    Tick fixed_cycles = 0;
-    bool dump_stats = false;
-    bool analytic_backend = false;
-    bool prefilter = false;
-    std::string tune_objective;
-    std::vector<std::uint32_t> bin_credits;
-    double static_gbps = 0.0;
-    std::string ckpt_out;
-    Tick ckpt_every = 0;
-    std::string restore_path;
-    bool saw_no_skip = false, saw_sample_interval = false;
-
-    auto need = [&](int &i) -> std::string {
-        if (i + 1 >= argc)
-            fatal("flag ", argv[i], " needs a value");
-        return argv[++i];
-    };
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--help") {
-            usage(0);
-        } else if (arg == "--version") {
-            std::printf("mitts_sim %s (checkpoint format v%u)\n",
-                        kToolVersion, ckpt::kFormatVersion);
-            return 0;
-        } else if (arg == "--list-apps") {
-            for (const auto &name : allProfileNames()) {
-                const AppProfile &p = appProfile(name);
-                std::printf("%-14s threads=%u ws=%lluKiB\n",
-                            name.c_str(), p.numThreads,
-                            static_cast<unsigned long long>(
-                                p.workingSetBytes / 1024));
-            }
-            return 0;
-        } else if (arg == "--apps") {
-            cfg.apps = split(need(i), ',');
-        } else if (arg == "--backend") {
-            const std::string b = need(i);
-            if (b == "analytic")
-                analytic_backend = true;
-            else if (b != "cycle")
-                usageError("--backend expects cycle or analytic, "
-                           "got '" + b + "'");
-        } else if (arg == "--prefilter") {
-            prefilter = true;
-        } else if (arg == "--sched") {
-            cfg.sched = parseSched(need(i));
-        } else if (arg == "--gate") {
-            const std::string g = need(i);
-            cfg.gate = g == "mitts"
-                           ? GateKind::Mitts
-                           : (g == "static" ? GateKind::Static
-                                            : GateKind::None);
-        } else if (arg == "--bins") {
-            cfg.gate = GateKind::Mitts;
-            for (const auto &tok : split(need(i), ','))
-                bin_credits.push_back(static_cast<std::uint32_t>(
-                    parseU64("--bins", tok)));
-        } else if (arg == "--static-gbps") {
-            cfg.gate = GateKind::Static;
-            static_gbps = parsePositiveDouble("--static-gbps",
-                                              need(i));
-        } else if (arg == "--tune") {
-            tune_objective = need(i);
-            if (tune_objective != "throughput" &&
-                tune_objective != "fairness")
-                usageError("--tune expects throughput or fairness, "
-                           "got '" + tune_objective + "'");
-            cfg.gate = GateKind::Mitts;
-        } else if (arg == "--instr") {
-            instr_target = parsePositiveU64("--instr", need(i));
-        } else if (arg == "--cycles") {
-            fixed_cycles = parsePositiveU64("--cycles", need(i));
-        } else if (arg == "--llc") {
-            cfg.llc.sizeBytes = parseBytes(need(i));
-        } else if (arg == "--noc") {
-            const auto dims = split(need(i), 'x');
-            if (dims.size() != 2)
-                fatal("--noc expects WxH");
-            cfg.noc.enabled = true;
-            cfg.noc.width = static_cast<unsigned>(
-                parsePositiveU64("--noc", dims[0]));
-            cfg.noc.height = static_cast<unsigned>(
-                parsePositiveU64("--noc", dims[1]));
-        } else if (arg == "--seed") {
-            cfg.seed = parseU64("--seed", need(i));
-        } else if (arg == "--stats") {
-            dump_stats = true;
-        } else if (arg == "--no-skip") {
-            saw_no_skip = true;
-            cfg.sim.skipAhead = false;
-        } else if (arg == "--telemetry-out") {
-            cfg.telemetry.enabled = true;
-            cfg.telemetry.outDir = need(i);
-        } else if (arg == "--sample-interval") {
-            saw_sample_interval = true;
-            cfg.telemetry.enabled = true;
-            cfg.telemetry.sampleInterval =
-                parsePositiveU64("--sample-interval", need(i));
-        } else if (arg == "--trace-events") {
-            cfg.telemetry.enabled = true;
-            cfg.telemetry.traceEvents = true;
-        } else if (arg == "--checkpoint-out") {
-            ckpt_out = need(i);
-        } else if (arg == "--checkpoint-every") {
-            ckpt_every =
-                parsePositiveU64("--checkpoint-every", need(i));
-        } else if (arg == "--restore") {
-            restore_path = need(i);
-        } else {
-            usageError("unknown flag: " + arg);
-        }
-    }
-    if (cfg.apps.empty())
-        usageError("--apps is required");
-    if (ckpt_every > 0 && ckpt_out.empty())
-        usageError("--checkpoint-every needs --checkpoint-out");
-    if (!tune_objective.empty() &&
-        (!ckpt_out.empty() || !restore_path.empty()))
-        usageError("--tune cannot be combined with checkpointing "
-                   "(the GA runs many short-lived systems)");
-    if (prefilter && tune_objective.empty())
-        usageError("--prefilter only applies to --tune runs");
-    if (analytic_backend) {
-        // The analytic backend is closed-form: nothing is stepped,
-        // checkpointed or sampled, so cycle-accurate-only flags are
-        // user errors, not no-ops.
-        if (!tune_objective.empty())
-            usageError("--backend analytic cannot drive --tune; use "
-                       "--prefilter to accelerate tuning instead");
-        if (fixed_cycles > 0)
-            usageError("--cycles only applies to the cycle-accurate "
-                       "backend");
-        if (dump_stats)
-            usageError("--stats only applies to the cycle-accurate "
-                       "backend");
-        if (saw_no_skip)
-            usageError("--no-skip only applies to the cycle-accurate "
-                       "backend");
-        if (cfg.telemetry.enabled)
-            usageError(std::string(saw_sample_interval
-                                       ? "--sample-interval"
-                                       : "telemetry flags") +
-                       " only apply to the cycle-accurate backend");
-        if (!ckpt_out.empty() || ckpt_every > 0)
-            usageError("checkpointing only applies to the "
-                       "cycle-accurate backend");
-        if (!restore_path.empty())
-            usageError("--restore only applies to the cycle-accurate "
-                       "backend");
-    }
-    if (cfg.telemetry.enabled && cfg.telemetry.outDir.empty())
-        cfg.telemetry.outDir = "telemetry_out";
-
-    // Core-count probes only inspect the topology; keep them from
-    // touching the telemetry output directory.
-    SystemConfig probe_cfg = cfg;
-    probe_cfg.telemetry = telemetry::TelemetryOptions{};
-
-    if (!bin_credits.empty()) {
-        if (bin_credits.size() != cfg.binSpec.numBins)
-            fatal("--bins expects ", cfg.binSpec.numBins, " values");
-        BinConfig bc(cfg.binSpec, bin_credits);
-        // The same purchased distribution on every core.
-        System probe(probe_cfg);
-        cfg.mittsConfigs.assign(probe.numCores(), bc);
-    }
-    if (static_gbps > 0.0) {
-        System probe(probe_cfg);
-        cfg.staticIntervals.assign(
-            probe.numCores(), 64.0 * cfg.cpuGhz / static_gbps);
-    }
-
-    if (analytic_backend) {
-        const analytic::AnalyticModel model;
-        const auto res = model.evaluate(cfg);
-        std::printf("%-14s %6s %10s %12s %10s\n", "app", "cores",
-                    "GB/s", "latency", "slowdown");
-        for (const auto &app : res.apps)
-            std::printf("%-14s %6u %10.4f %12.2f %10.4f\n",
-                        app.name.c_str(), app.cores,
-                        app.bandwidthGBps, app.meanLatencyCycles,
-                        app.slowdown);
-        std::printf("S_avg=%.4f S_max=%.4f bus=%.3f iters=%u\n",
-                    res.metrics.savg, res.metrics.smax,
-                    res.busUtilization, res.iterations);
-        return 0;
-    }
-
-    RunnerOptions opts;
-    opts.instrTarget = instr_target;
-    opts.maxCycles = 400 * instr_target;
-
-    if (!tune_objective.empty()) {
-        if (cfg.telemetry.enabled) {
-            std::fprintf(stderr,
-                         "note: telemetry flags are ignored with "
-                         "--tune (the GA runs many systems)\n");
-            cfg.telemetry = telemetry::TelemetryOptions{};
-        }
-        const Objective obj = tune_objective == "fairness"
-                                  ? Objective::Fairness
-                                  : Objective::Throughput;
-        std::printf("computing alone-run baselines...\n");
-        const auto alone = aloneCyclesForAll(cfg, opts);
-        std::printf("running offline GA (%s)...\n",
-                    objectiveName(obj));
-        OfflineTunerOptions topts;
-        topts.run = opts;
-        topts.ga.populationSize = 12;
-        topts.ga.generations = 6;
-        topts.prefilter.enabled = prefilter;
-        const auto tuned =
-            tuneMultiProgram(cfg, alone, obj, 0, topts);
-        std::printf("best configs:\n");
-        for (std::size_t c = 0; c < tuned.best.size(); ++c)
-            std::printf("  core %zu: %s\n", c,
-                        tuned.best[c].toString().c_str());
-        std::printf("S_avg=%.3f S_max=%.3f\n", tuned.metrics.savg,
-                    tuned.metrics.smax);
-        std::printf("evaluations: %llu cycle-accurate, %llu "
-                    "analytic\n",
-                    static_cast<unsigned long long>(
-                        tuned.caEvaluations),
-                    static_cast<unsigned long long>(
-                        tuned.analyticEvaluations));
-        return 0;
-    }
-
-    System sys(cfg);
-
-    if (!restore_path.empty()) {
-        try {
-            sys.restoreCheckpoint(restore_path);
-        } catch (const ckpt::Error &e) {
-            std::fprintf(stderr,
-                         "mitts_sim: cannot restore '%s': %s\n",
-                         restore_path.c_str(), e.what());
-            return 2;
-        }
-        std::printf("restored %s at cycle %llu\n",
-                    restore_path.c_str(),
-                    static_cast<unsigned long long>(sys.sim().now()));
-    }
-
-    if (!ckpt_out.empty())
-        std::filesystem::create_directories(ckpt_out);
-    auto ckpt_file = [&](const std::string &tag) {
-        return (std::filesystem::path(ckpt_out) /
-                ("ckpt-" + tag + ".mitts"))
-            .string();
-    };
-    auto save_ckpt = [&](const std::string &tag) {
-        try {
-            sys.saveCheckpoint(ckpt_file(tag));
-        } catch (const ckpt::Error &e) {
-            std::fprintf(stderr, "mitts_sim: checkpoint failed: %s\n",
-                         e.what());
-            std::exit(2);
-        }
-    };
-    // Periodic checkpoints land on absolute `ckpt_every` boundaries
-    // (fixed-cycle runs) or the first batch boundary past them
-    // (instruction-target runs), so a restored run schedules its next
-    // checkpoint at the same cycle the uninterrupted run would.
-    Tick next_ckpt = kTickNever;
-    if (ckpt_every > 0)
-        next_ckpt = (sys.sim().now() / ckpt_every + 1) * ckpt_every;
-    if (ckpt_every > 0 && fixed_cycles == 0) {
-        sys.setBatchCallback([&](Tick now) {
-            if (now >= next_ckpt) {
-                save_ckpt(std::to_string(now));
-                while (next_ckpt <= now)
-                    next_ckpt += ckpt_every;
-            }
-        });
-    }
-
-    if (fixed_cycles > 0) {
-        // `--cycles N` is an absolute endpoint so a restored run
-        // finishes at the same cycle as the run it resumes.
-        const Tick end = fixed_cycles;
-        if (sys.sim().now() > end)
-            fatal("checkpoint is already past --cycles ", end);
-        while (sys.sim().now() < end) {
-            const Tick stop = std::min(end, next_ckpt);
-            sys.run(stop - sys.sim().now());
-            if (sys.sim().now() >= next_ckpt) {
-                save_ckpt(std::to_string(sys.sim().now()));
-                next_ckpt += ckpt_every;
-            }
-        }
-        std::printf("%-14s %14s %10s\n", "app", "instructions",
-                    "IPC/core");
-        for (unsigned a = 0; a < sys.numApps(); ++a) {
-            std::uint64_t instr = 0;
-            for (CoreId c : sys.coresOfApp(a))
-                instr += sys.core(c).instructions();
-            std::printf("%-14s %14llu %10.3f\n",
-                        sys.appName(a).c_str(),
-                        static_cast<unsigned long long>(instr),
-                        static_cast<double>(instr) /
-                            static_cast<double>(fixed_cycles) /
-                            static_cast<double>(
-                                sys.coresOfApp(a).size()));
-        }
-    } else {
-        const auto results =
-            sys.runUntilInstructions(instr_target, opts.maxCycles);
-        std::printf("%-14s %12s %12s %10s\n", "app", "cycles",
-                    "mem-stalls", "IPC");
-        for (const auto &r : results) {
-            std::printf(
-                "%-14s %12llu %12llu %10.3f\n", r.name.c_str(),
-                static_cast<unsigned long long>(r.completedAt),
-                static_cast<unsigned long long>(r.memStallCycles),
-                static_cast<double>(r.instructions) /
-                    static_cast<double>(r.completedAt));
-        }
-    }
-
-    if (!ckpt_out.empty()) {
-        save_ckpt("final");
-        std::printf("checkpoint: %s\n", ckpt_file("final").c_str());
-    }
-
-    if (dump_stats) {
-        std::printf("\n---- statistics ----\n");
-        std::ostringstream os;
-        sys.dumpStats(os);
-        std::fputs(os.str().c_str(), stdout);
-    }
-
-    if (sys.telemetry()) {
-        sys.finalizeTelemetry();
-        std::printf("telemetry: %s\n",
-                    sys.telemetry()->csvPath().c_str());
-        if (!sys.telemetry()->tracePath().empty())
-            std::printf("trace:     %s  (open in chrome://tracing "
-                        "or ui.perfetto.dev)\n",
-                        sys.telemetry()->tracePath().c_str());
-    }
-    return 0;
 }

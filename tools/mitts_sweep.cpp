@@ -10,11 +10,9 @@
  * Run with --help for the full flag reference.
  */
 
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
@@ -66,7 +64,7 @@ exit codes:
      failure, retry budget exhausted, cache/journal I/O failure)
   2  usage error: unknown flag, missing --spec/--out, malformed or
      out-of-range numeric value (--workers at most 256, --retries a
-     non-negative integer, --timeout a non-negative number)
+     non-negative integer, --timeout a finite non-negative number)
 
 every rejected combination prints a one-line reason on stderr.
 )");
@@ -83,36 +81,6 @@ usageError(const std::string &msg)
     std::exit(2);
 }
 
-/** Checked u64 parse: the whole token must be digits and fit. */
-std::uint64_t
-parseU64(const std::string &flag, const std::string &s)
-{
-    if (s.empty() ||
-        s.find_first_not_of("0123456789") != std::string::npos)
-        usageError(flag + " expects a non-negative integer, got '" +
-                   s + "'");
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-    if (errno == ERANGE || end != s.c_str() + s.size())
-        usageError(flag + " value out of range: '" + s + "'");
-    return v;
-}
-
-/** Checked non-negative double parse. */
-double
-parseNonNegDouble(const std::string &flag, const std::string &s)
-{
-    errno = 0;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (s.empty() || errno == ERANGE || end != s.c_str() + s.size() ||
-        v < 0.0)
-        usageError(flag + " expects a non-negative number, got '" +
-                   s + "'");
-    return v;
-}
-
 } // namespace
 
 int
@@ -124,7 +92,7 @@ main(int argc, char **argv)
     bool workerMode = false;
     bool cacheSet = false;
 
-    for (int i = 1; i < argc; ++i) {
+    for (int i = 1; i < argc; ++i) try {
         const std::string arg = argv[i];
         auto value = [&]() -> std::string {
             if (i + 1 >= argc)
@@ -151,18 +119,20 @@ main(int argc, char **argv)
         } else if (arg == "--worker-exe") {
             opts.workerExe = value();
         } else if (arg == "--workers") {
-            const std::uint64_t n = parseU64(arg, value());
-            if (n > 256)
+            opts.workers = parseUnsigned(arg, value());
+            if (opts.workers > 256)
                 usageError("--workers must be at most 256");
-            opts.workers = static_cast<unsigned>(n);
         } else if (arg == "--retries") {
-            opts.maxRetries =
-                static_cast<unsigned>(parseU64(arg, value()));
+            opts.maxRetries = parseUnsigned(arg, value());
         } else if (arg == "--timeout") {
-            opts.unitTimeoutSec = parseNonNegDouble(arg, value());
+            opts.unitTimeoutSec = parseF64(arg, value());
+            if (opts.unitTimeoutSec < 0.0)
+                usageError("--timeout must be non-negative");
         } else {
             usageError("unknown flag '" + arg + "'");
         }
+    } catch (const ConfigError &e) {
+        usageError(e.what());
     }
 
     if (workerMode) {
@@ -184,15 +154,6 @@ main(int argc, char **argv)
         validateSweep(spec);
         const OrchestratorCounters counters = runSweep(spec, opts);
         counters.print(std::cout, spec.name);
-    } catch (const SweepError &e) {
-        std::fprintf(stderr, "mitts_sweep: %s\n", e.what());
-        return 1;
-    } catch (const OrchestrateError &e) {
-        std::fprintf(stderr, "mitts_sweep: %s\n", e.what());
-        return 1;
-    } catch (const ckpt::Error &e) {
-        std::fprintf(stderr, "mitts_sweep: %s\n", e.what());
-        return 1;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "mitts_sweep: %s\n", e.what());
         return 1;
