@@ -31,11 +31,7 @@ L1Cache::access(Addr addr, bool is_write, SeqNum seq, Tick now)
         if (is_write) {
             array_.markDirty(block);
         } else if (client_) {
-            L1Client *client = client_;
             events_.schedule(now + cfg_.hitLatency,
-                             [client, seq, t = now + cfg_.hitLatency] {
-                                 client->loadComplete(seq, t);
-                             },
                              EventDesc::loadComplete(core_, seq));
         }
         return L1Result::Hit;

@@ -232,18 +232,14 @@ SharedLlc::respondToL1(const ReqPtr &req, Tick delay, Tick now)
 {
     if (req->core < 0 || !l1s_[req->core])
         return;
-    L1Cache *l1 = l1s_[req->core];
     if (noc_) {
         delay += noc_->route(
             bankOf(req->blockAddr) % noc_->numNodes(),
             static_cast<unsigned>(req->core) % noc_->numNodes(),
             now + delay);
     }
-    const Tick when = now + delay;
-    events_.schedule(when, [l1, req, when] { l1->fill(req, when); },
-                     EventDesc::llcFill(req));
+    events_.schedule(now + delay, EventDesc::llcFill(req));
 }
-
 
 void
 SharedLlc::saveState(ckpt::Writer &w) const

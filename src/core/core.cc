@@ -1,5 +1,8 @@
 #include "core/core.hh"
 
+#include <bit>
+#include <string>
+
 #include "base/logging.hh"
 #include "telemetry/telemetry.hh"
 
@@ -10,6 +13,8 @@ Core::Core(std::string name, CoreId id, const CoreConfig &cfg,
            TraceSource *trace, L1Cache *l1)
     : Clocked(std::move(name)), cfg_(cfg), id_(id), trace_(trace),
       l1_(l1),
+      window_(std::bit_ceil(std::size_t{cfg.windowSize})),
+      windowMask_(window_.size() - 1),
       stats_(this->name()),
       instructions_(stats_.addCounter("instructions")),
       memStalls_(stats_.addCounter("mem_stall_cycles")),
@@ -18,6 +23,7 @@ Core::Core(std::string name, CoreId id, const CoreConfig &cfg,
       l1Blocked_(stats_.addCounter("l1_blocked_cycles"))
 {
     MITTS_ASSERT(trace_ && l1_, "core needs a trace and an L1");
+    MITTS_ASSERT(cfg.windowSize > 0, "core needs a window");
 }
 
 void
@@ -47,7 +53,7 @@ Core::tick(Tick now)
             idle_ = IdleState::ChaseStall;
         else if (l1_blocked)
             idle_ = IdleState::L1Blocked;
-        else if (window_.size() >= cfg_.windowSize)
+        else if (windowCount_ >= cfg_.windowSize)
             idle_ = IdleState::RobStall;
     }
 }
@@ -95,7 +101,7 @@ Core::onFastForward(Tick from, Tick to)
     // have retired), which is exactly retire()'s stall condition. The
     // window is only empty when the L1 blocks the first outstanding
     // miss (stores complete at dispatch and can saturate MSHRs alone).
-    if (!window_.empty())
+    if (windowCount_ > 0)
         memStalls_.inc(cycles);
     if (idle_ == IdleState::ChaseStall)
         memDepStalls_ += cycles;
@@ -109,14 +115,15 @@ unsigned
 Core::retire(Tick now)
 {
     unsigned retired = 0;
-    while (retired < cfg_.width && !window_.empty() &&
-           window_.front().done) {
-        window_.pop_front();
-        instructions_.inc();
+    while (retired < cfg_.width && retired < windowCount_ &&
+           slot(retired).done)
         ++retired;
-    }
+    windowHead_ = (windowHead_ + retired) & windowMask_;
+    windowCount_ -= retired;
+    windowHeadSeq_ += retired;
+    instructions_.inc(retired);
     const bool mem_stalled =
-        retired == 0 && !window_.empty() && window_.front().isMem;
+        retired == 0 && windowCount_ > 0 && slot(0).isMem;
     if (mem_stalled)
         memStalls_.inc();
     if (traceWriter_) {
@@ -153,7 +160,7 @@ Core::registerTelemetry(telemetry::Telemetry &t)
     });
     probes_.add(prefix + "window_occupancy", ProbeKind::Gauge,
                 [this](Tick) {
-                    return static_cast<double>(window_.size());
+                    return static_cast<double>(windowCount_);
                 });
     if (t.trace()) {
         traceWriter_ = t.trace();
@@ -165,8 +172,7 @@ unsigned
 Core::dispatch(Tick now, bool &chase_wait, bool &l1_blocked)
 {
     unsigned dispatched = 0;
-    while (dispatched < cfg_.width &&
-           window_.size() < cfg_.windowSize) {
+    while (dispatched < cfg_.width && windowCount_ < cfg_.windowSize) {
         if (!havePendingOp_) {
             pendingOp_ = trace_->next();
             gapLeft_ = pendingOp_.gap;
@@ -179,7 +185,8 @@ Core::dispatch(Tick now, bool &chase_wait, bool &l1_blocked)
             if (nonMemBudget_ < 1.0)
                 break;
             nonMemBudget_ -= 1.0;
-            window_.push_back(WindowEntry{nextSeq_++, true, false});
+            pushWindow(true, false);
+            ++nextSeq_;
             --gapLeft_;
             ++dispatched;
             continue;
@@ -214,8 +221,7 @@ Core::dispatch(Tick now, bool &chase_wait, bool &l1_blocked)
 
         // Stores complete into the write buffer immediately; loads
         // wait for loadComplete (both on hits and fills).
-        const bool done = pendingOp_.isWrite;
-        window_.push_back(WindowEntry{seq, done, true});
+        pushWindow(pendingOp_.isWrite, true);
         havePendingOp_ = false;
         ++dispatched;
     }
@@ -225,11 +231,11 @@ Core::dispatch(Tick now, bool &chase_wait, bool &l1_blocked)
 void
 Core::saveState(ckpt::Writer &w) const
 {
-    w.u64(window_.size());
-    for (const auto &e : window_) {
-        w.u64(e.seq);
-        w.b(e.done);
-        w.b(e.isMem);
+    w.u64(windowCount_);
+    for (std::size_t k = 0; k < windowCount_; ++k) {
+        w.u64(windowHeadSeq_ + k);
+        w.b(slot(k).done);
+        w.b(slot(k).isMem);
     }
     w.u64(nextSeq_);
     w.f64(nonMemBudget_);
@@ -252,16 +258,29 @@ Core::saveState(ckpt::Writer &w) const
 void
 Core::loadState(ckpt::Reader &r)
 {
-    window_.clear();
+    // The ring holds windowSize entries with consecutive seqs ending
+    // at nextSeq_ - 1; reject anything else before it is written.
     const std::uint64_t n = r.u64();
+    if (n > cfg_.windowSize)
+        throw ckpt::Error("core window holds " + std::to_string(n) +
+                          " entries, more than its " +
+                          std::to_string(cfg_.windowSize) + " slots");
+    windowHead_ = 0;
+    windowCount_ = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
-        WindowEntry e;
-        e.seq = r.u64();
-        e.done = r.b();
-        e.isMem = r.b();
-        window_.push_back(e);
+        const SeqNum seq = r.u64();
+        if (i == 0)
+            windowHeadSeq_ = seq;
+        else if (seq != windowHeadSeq_ + i)
+            throw ckpt::Error("core window seqs are not consecutive");
+        const bool done = r.b();
+        pushWindow(done, r.b());
     }
     nextSeq_ = r.u64();
+    if (n == 0)
+        windowHeadSeq_ = nextSeq_;
+    else if (windowHeadSeq_ + n != nextSeq_)
+        throw ckpt::Error("core window does not end at the next seq");
     nonMemBudget_ = r.f64();
     lastLoadSeq_ = r.u64();
     lastChaseSeq_ = r.u64();
@@ -289,27 +308,24 @@ Core::prevLoadDone() const
         lastChaseSeq_ ? lastChaseSeq_ : lastLoadSeq_;
     if (producer == 0)
         return true; // no load issued yet
-    if (window_.empty() || producer < window_.front().seq)
+    if (windowCount_ == 0 || producer < windowHeadSeq_)
         return true; // already retired
     const std::size_t idx =
-        static_cast<std::size_t>(producer - window_.front().seq);
-    return idx >= window_.size() || window_[idx].done;
+        static_cast<std::size_t>(producer - windowHeadSeq_);
+    return idx >= windowCount_ || slot(idx).done;
 }
 
 void
 Core::loadComplete(SeqNum seq, Tick now)
 {
     (void)now;
-    if (window_.empty())
-        return;
-    const SeqNum head = window_.front().seq;
-    if (seq < head)
+    if (windowCount_ == 0 || seq < windowHeadSeq_)
         return; // already retired (cannot happen for loads)
-    const std::size_t idx = static_cast<std::size_t>(seq - head);
-    MITTS_ASSERT(idx < window_.size(),
+    const std::size_t idx = static_cast<std::size_t>(seq - windowHeadSeq_);
+    MITTS_ASSERT(idx < windowCount_,
                  "loadComplete for unknown window entry");
-    MITTS_ASSERT(window_[idx].isMem, "completion for non-mem entry");
-    window_[idx].done = true;
+    MITTS_ASSERT(slot(idx).isMem, "completion for non-mem entry");
+    slot(idx).done = true;
 }
 
 } // namespace mitts

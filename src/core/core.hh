@@ -14,7 +14,7 @@
 #define MITTS_CORE_CORE_HH
 
 #include <algorithm>
-#include <deque>
+#include <vector>
 
 #include "base/stats.hh"
 #include "cache/interfaces.hh"
@@ -113,9 +113,10 @@ class Core : public Clocked, public L1Client,
     void loadState(ckpt::Reader &r) override;
 
   private:
-    struct WindowEntry
+    /** One window entry. Its seq is implicit: window seqs are
+     *  consecutive from windowHeadSeq_. */
+    struct WindowSlot
     {
-        SeqNum seq;
         bool done;
         bool isMem;
     };
@@ -141,6 +142,26 @@ class Core : public Clocked, public L1Client,
     unsigned dispatch(Tick now, bool &chase_wait, bool &l1_blocked);
     bool prevLoadDone() const;
 
+    /** The window entry `k` places behind the head. */
+    WindowSlot &
+    slot(std::size_t k)
+    {
+        return window_[(windowHead_ + k) & windowMask_];
+    }
+    const WindowSlot &
+    slot(std::size_t k) const
+    {
+        return window_[(windowHead_ + k) & windowMask_];
+    }
+
+    void
+    pushWindow(bool done, bool is_mem)
+    {
+        window_[(windowHead_ + windowCount_) & windowMask_] =
+            WindowSlot{done, is_mem};
+        ++windowCount_;
+    }
+
     // detlint-transient(construction-time config; never mutated after build)
     CoreConfig cfg_;
     // detlint-transient(immutable core id)
@@ -148,7 +169,17 @@ class Core : public Clocked, public L1Client,
     TraceSource *trace_;
     L1Cache *l1_;
 
-    std::deque<WindowEntry> window_;
+    /**
+     * Instruction window: a ring of windowSize entries (rounded up to
+     * a power of two), allocated once at construction. Holds
+     * windowCount_ entries from index windowHead_; the head's seq is
+     * windowHeadSeq_ and the tail's is nextSeq_ - 1.
+     */
+    std::vector<WindowSlot> window_;
+    const std::size_t windowMask_; ///< ring size - 1
+    std::size_t windowHead_ = 0;
+    std::size_t windowCount_ = 0;
+    SeqNum windowHeadSeq_ = 1;
     SeqNum nextSeq_ = 1;
     double nonMemBudget_ = 0.0; ///< compute-IPC accumulator
     SeqNum lastLoadSeq_ = 0;  ///< most recent load of any kind

@@ -112,10 +112,10 @@ Dram::earliestActivate(Tick from, Tick precharge) const
 
 Tick
 Dram::earliestIssueTick(const DramCoord &c, bool is_write,
-                        Tick now) const
+                        Tick from) const
 {
     (void)is_write;
-    Tick t = std::max(now + 1, refBlockUntil_);
+    Tick t = std::max(from, refBlockUntil_);
     t = std::max(t, bankBusyUntil_[c.bank]);
     switch (rowState(c)) {
       case RowState::Hit:

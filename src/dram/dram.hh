@@ -101,19 +101,20 @@ class Dram : public ckpt::Serializable
     Tick nextRefreshTick() const { return nextRefreshAt_; }
 
     /**
-     * Earliest tick > `now` at which canIssue() for this transaction
-     * can become true, assuming no intervening issues or refreshes
+     * Earliest tick >= `from` at which canIssue() for this
+     * transaction holds, assuming no intervening issues or refreshes
      * (both happen on executed cycles and trigger recomputation).
      * Exact: every canIssue constraint is a monotone lower bound on
-     * the issue tick.
+     * the issue tick, so canIssue(c, w, t) for t >= from holds
+     * exactly when t >= earliestIssueTick(c, w, from).
      */
     Tick earliestIssueTick(const DramCoord &c, bool is_write,
-                           Tick now) const;
+                           Tick from) const;
     Tick
-    earliestIssueTick(Addr block_addr, bool is_write, Tick now) const
+    earliestIssueTick(Addr block_addr, bool is_write, Tick from) const
     {
         return earliestIssueTick(mapAddress(block_addr, cfg_),
-                                 is_write, now);
+                                 is_write, from);
     }
 
     stats::Group &statsGroup() { return stats_; }

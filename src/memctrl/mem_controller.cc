@@ -182,24 +182,9 @@ MemController::nextWakeTick(Tick now) const
         // No queued transaction can issue before its DRAM timing
         // constraints clear; all of them are exact lower bounds, and
         // in-flight bursts complete through scheduled events. The
-        // scan runs over the queue's flat coordinate column and is
-        // cached per channel: with the queue and bank timing state
-        // unchanged since the last scan, the old bound (combined
-        // with the final now+1 clamp) equals a fresh one. Each
-        // per-transaction bound is itself clamped to now+1, so the
-        // scan stops early once it reaches that floor.
+        // bound is cached per channel (see scanMin_).
         if (!scanValid_[c]) {
-            const Dram &dram = *drams_[c];
-            Tick qmin = kTickNever;
-            for (std::size_t i = 0; i < q.size(); ++i) {
-                qmin = std::min(qmin,
-                                dram.earliestIssueTick(q.coord(i),
-                                                       q.isWrite(i),
-                                                       now));
-                if (qmin <= now + 1)
-                    break;
-            }
-            scanMin_[c] = qmin;
+            scanMin_[c] = scanIssueBound(c, now + 1);
             scanValid_[c] = 1;
         }
         wake = std::min(wake, scanMin_[c]);
@@ -207,6 +192,24 @@ MemController::nextWakeTick(Tick now) const
     if (sched_)
         wake = std::min(wake, sched_->nextWakeTick(now));
     return std::max(wake, now + 1);
+}
+
+Tick
+MemController::scanIssueBound(unsigned channel, Tick from) const
+{
+    // Each per-transaction bound is clamped to `from`, so the scan
+    // over the queue's flat coordinate column stops early once it
+    // reaches that floor.
+    const TxnQueue &q = queues_[channel];
+    const Dram &dram = *drams_[channel];
+    Tick qmin = kTickNever;
+    for (std::size_t i = 0; i < q.size(); ++i) {
+        qmin = std::min(qmin, dram.earliestIssueTick(q.coord(i),
+                                                     q.isWrite(i), from));
+        if (qmin <= from)
+            break;
+    }
+    return qmin;
 }
 
 int
@@ -252,16 +255,42 @@ MemController::scheduleChannel(unsigned channel, Tick now)
             draining_[channel] = next;
             markWakeDirty(); // latch feeds the wake fixed point
         }
-        if (draining_[channel]) {
-            const int wpick = pickOldestWrite(queue, dram, now);
-            if (wpick >= 0) {
-                const DramCoord coord = queue.coord(wpick);
-                ReqPtr req = queue.take(wpick);
-                req->dramIssueAt = now;
-                dram.issue(coord, true, now);
-                invalidateChannel(channel);
-                return;
-            }
+    }
+
+    // Issue gate: when no queued transaction can issue this cycle,
+    // neither pick below can choose one (both take only canIssue
+    // entries, and MemScheduler::pick changes no state when it
+    // returns -1), so skip the scans. The bound is exact: filled at
+    // an earlier tick or from `now` itself, scanMin_ <= now holds
+    // exactly when some entry can issue now. A stale bound is never
+    // read: every change to the queue or the bank timing state
+    // invalidates it first, and such a change also dirties the wake
+    // claim, so filling the cache here changes no claim.
+    if (!scanValid_[channel]) {
+        scanMin_[channel] = scanIssueBound(channel, now);
+        scanValid_[channel] = 1;
+    }
+    if (scanMin_[channel] > now) {
+        if (verifyIssueGate_) {
+            for (std::size_t i = 0; i < queue.size(); ++i)
+                MITTS_ASSERT(!dram.canIssue(queue.coord(i),
+                                            queue.isWrite(i), now),
+                             "issue gate skipped a ready transaction "
+                             "on channel ", channel, " at cycle ", now,
+                             " (bound ", scanMin_[channel], ")");
+        }
+        return;
+    }
+
+    if (cfg_.writeDrainHigh > 0 && draining_[channel]) {
+        const int wpick = pickOldestWrite(queue, dram, now);
+        if (wpick >= 0) {
+            const DramCoord coord = queue.coord(wpick);
+            ReqPtr req = queue.take(wpick);
+            req->dramIssueAt = now;
+            dram.issue(coord, true, now);
+            invalidateChannel(channel);
+            return;
         }
     }
 
@@ -282,48 +311,28 @@ MemController::scheduleChannel(unsigned channel, Tick now)
     const Tick done = dram.issue(coord, is_write, now);
     invalidateChannel(channel);
 
-    if (req->isDemand()) {
-        events_.schedule(done, completionCallback(req, done),
-                         EventDesc::memComplete(req));
-    }
+    if (req->isDemand())
+        events_.schedule(done, EventDesc::memComplete(std::move(req)));
 }
 
-EventQueue::Callback
-MemController::completionCallback(ReqPtr req, Tick done)
+void
+MemController::complete(const ReqPtr &req, Tick done)
 {
-    MemScheduler *sched = sched_;
-    SharedLlc *llc = llc_;
-    auto *completed_ctr = &completed_;
-    const bool core_tracked =
-        req->core >= 0 && static_cast<std::size_t>(req->core) <
-                              completedPerCore_.size();
-    auto *per_core = core_tracked ? completedPerCore_[req->core]
-                                  : nullptr;
-    auto *per_core_lat = core_tracked
-                             ? latencyPerCore_[req->core]
-                             : nullptr;
-    auto *per_core_hist =
-        core_tracked && cfg_.latencyHistograms
-            ? latencyHistPerCore_[req->core]
-            : nullptr;
-    auto *total_lat = &totalLatency_;
-    return [req = std::move(req), done, sched, llc, completed_ctr,
-            per_core, per_core_lat, per_core_hist, total_lat] {
-        req->doneAt = done;
-        completed_ctr->inc();
-        if (per_core)
-            per_core->inc();
-        const auto lat = static_cast<double>(done - req->l1MissAt);
-        total_lat->sample(lat);
-        if (per_core_lat)
-            per_core_lat->sample(lat);
-        if (per_core_hist)
-            per_core_hist->sample(lat);
-        if (sched)
-            sched->onComplete(*req, done);
-        if (llc)
-            llc->fillFromMem(req, done);
-    };
+    req->doneAt = done;
+    completed_.inc();
+    const auto lat = static_cast<double>(done - req->l1MissAt);
+    totalLatency_.sample(lat);
+    if (req->core >= 0 && static_cast<std::size_t>(req->core) <
+                              completedPerCore_.size()) {
+        completedPerCore_[req->core]->inc();
+        latencyPerCore_[req->core]->sample(lat);
+        if (cfg_.latencyHistograms)
+            latencyHistPerCore_[req->core]->sample(lat);
+    }
+    if (sched_)
+        sched_->onComplete(*req, done);
+    if (llc_)
+        llc_->fillFromMem(req, done);
 }
 
 void

@@ -174,11 +174,17 @@ class MemController : public Clocked, public MemSink
     void registerTelemetry(telemetry::Telemetry &t);
 
     /**
-     * The completion event for a demand request whose DRAM burst ends
-     * at `done` (stat samples, scheduler notify, LLC fill). Exposed so
-     * a restored checkpoint can rebuild pending completion events.
+     * A demand request's DRAM burst ended at `done`: latency samples,
+     * scheduler notify, LLC fill. Run by the MemComplete event.
      */
-    EventQueue::Callback completionCallback(ReqPtr req, Tick done);
+    void complete(const ReqPtr &req, Tick done);
+
+    /**
+     * Verify mode (the System forwards SimulationConfig::verifySkip):
+     * every cycle the issue gate skips a channel, re-scan its queue
+     * and assert that no transaction could have issued.
+     */
+    void setVerifyIssueGate(bool on) { verifyIssueGate_ = on; }
 
     /** Checkpoint queues, drain latches, FIFO, DRAM timing, stats. */
     void saveState(ckpt::Writer &w) const;
@@ -188,6 +194,10 @@ class MemController : public Clocked, public MemSink
     void scheduleChannel(unsigned channel, Tick now);
     int pickOldestWrite(const TxnQueue &queue, const Dram &dram,
                         Tick now) const;
+
+    /** Earliest tick >= `from` at which some transaction queued on
+     *  `channel` could issue (kTickNever when the queue is empty). */
+    Tick scanIssueBound(unsigned channel, Tick from) const;
 
     /** A channel's queue or DRAM timing state changed: drop its
      *  cached scan bound and the controller-level wake claim. */
@@ -213,15 +223,18 @@ class MemController : public Clocked, public MemSink
     std::deque<ReqPtr> smoothingFifo_;///< optional global MITTS FIFO
 
     /**
-     * Cached per-channel earliest-issue lower bound (the min of
-     * earliestIssueTick over the channel's queue). Valid until the
-     * queue or the channel's DRAM timing state changes; the final
-     * max(.., now+1) clamp in nextWakeTick makes an old clamp-limited
-     * value equal to a fresh scan. Derived state — never serialized,
+     * Cached per-channel earliest-issue bound: scanIssueBound from
+     * the tick it was filled at. Valid until the queue or the
+     * channel's DRAM timing state changes. Filled from an earlier
+     * tick it stays exact for both readers: nextWakeTick's final
+     * max(.., now+1) clamp and the issue gate's `<= now` test cannot
+     * tell it from a fresh scan. Derived state — never serialized,
      * dropped on restore.
      */
     mutable std::vector<Tick> scanMin_;
     mutable std::vector<std::uint8_t> scanValid_;
+    // detlint-transient(kernel mode forwarded by the System at construction)
+    bool verifyIssueGate_ = false;
 
     // detlint-transient(probe wiring re-registered on rebuild, not state)
     telemetry::ProbeOwner probes_;

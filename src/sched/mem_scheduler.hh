@@ -55,9 +55,17 @@ class MemScheduler
 
     /**
      * Choose the index of the transaction to issue, or -1 to idle.
-     * Only entries for which dram.canIssue(...) holds may be chosen.
      * The queue is a structure-of-arrays view with per-entry DRAM
      * coordinates precomputed at enqueue (mem/txn_queue.hh).
+     *
+     * Contract, which the controller's issue gate relies on:
+     *  - only entries for which dram.canIssue(...) holds may be
+     *    chosen;
+     *  - a call that returns -1 changes no policy state (bookkeeping
+     *    happens only for a chosen entry).
+     * Together they make a call with no ready entry a no-op, so the
+     * controller skips pick() on cycles where its cached
+     * earliest-issue bound shows nothing can issue.
      */
     virtual int pick(const TxnQueue &queue, const Dram &dram,
                      Tick now) = 0;

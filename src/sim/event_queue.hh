@@ -1,15 +1,18 @@
 /**
  * @file
- * Small delayed-callback queue for modelling fixed response latencies
- * (cache hit latency, wire delays) without per-cycle polling.
+ * Calendar queue of typed events for fixed response latencies (cache
+ * hit latency, LLC fill, DRAM burst completion) without per-cycle
+ * polling.
  */
 
 #ifndef MITTS_SIM_EVENT_QUEUE_HH
 #define MITTS_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,25 +25,24 @@ namespace mitts
 {
 
 /**
- * What a pending event *does*, in serializable form. Closures cannot
- * be checkpointed, so every event on the simulation fast path carries
- * one of these descriptors alongside its callback; on restore the
- * System rebuilds the callback from the descriptor (it knows which
- * component the event targets). Opaque events (tests, ad-hoc tools)
- * have no descriptor and make the queue non-checkpointable — saving
- * with one pending is an error, not silent data loss.
+ * An event is its descriptor: what happens, to which component, with
+ * which payload. The queue stores descriptors, never closures, so
+ * every pending event is checkpointable and a restored event runs the
+ * same code path as a live one.
  */
 struct EventDesc
 {
+    /** Values are the checkpoint's kind byte (0 is never valid). */
     enum class Kind : std::uint8_t
     {
-        Opaque = 0,       ///< bare closure; cannot be saved
         LoadComplete = 1, ///< L1 hit latency -> core loadComplete
         LlcFill = 2,      ///< LLC -> L1 fill response
         MemComplete = 3,  ///< DRAM burst done -> MC completion
     };
+    static constexpr std::uint8_t kFirstKind = 1;
+    static constexpr std::uint8_t kLastKind = 3;
 
-    Kind kind = Kind::Opaque;
+    Kind kind = Kind::LoadComplete;
     CoreId core = kNoCore; ///< LoadComplete: target core
     SeqNum seq = 0;        ///< LoadComplete: completing access
     ReqPtr req;            ///< LlcFill / MemComplete payload
@@ -75,12 +77,40 @@ struct EventDesc
 };
 
 /**
- * Min-heap of (tick, sequence, callback). Events scheduled for the same
- * tick fire in scheduling order, keeping the simulation deterministic.
- * Same-tick ordering survives a checkpoint round trip: events are
- * serialized in drain order (when, then scheduling sequence) and
- * renumbered densely on load, so the restored queue drains identically
- * even though the absolute sequence numbers differ.
+ * Runs due events. The queue's owner (the System, or a test) installs
+ * one handler; the queue keeps a non-owning pointer to it.
+ */
+class EventHandler
+{
+  public:
+    virtual ~EventHandler() = default;
+
+    /** Execute `d`, due at tick `when`. */
+    virtual void fire(const EventDesc &d, Tick when) = 0;
+
+    /**
+     * Restore-time check of a descriptor read from a checkpoint:
+     * throw ckpt::Error when fire() could not run it (a core or
+     * request the system does not have).
+     */
+    virtual void validate(const EventDesc &d) const { (void)d; }
+};
+
+/**
+ * Pending events in drain order (tick, then scheduling order), held
+ * in a calendar: a 512-tick window with one FIFO list per tick, an
+ * occupancy bitmap over the window for nextEventTick(), and a
+ * (tick, sequence) min-heap for events beyond the window, moved into
+ * their lists in order as the window advances. List nodes live in
+ * one pool with a free list, so storage follows the number of
+ * pending events and a steady-state drain allocates nothing.
+ *
+ * Same-tick order: far events for tick T are all scheduled before T
+ * enters the window and migrate in sequence order the moment it
+ * does; events scheduled later append behind them. So every list
+ * holds its tick's events in scheduling order. Same-tick ordering
+ * survives a checkpoint round trip: events are saved in drain order
+ * and re-queued in that order on load.
  *
  * Scheduling into the past — `when` strictly below the tick of the
  * most recent runDue() — is a modelling bug: the event's cycle has
@@ -89,29 +119,31 @@ struct EventDesc
  * so it fires at the next opportunity instead of being lost below an
  * already-drained tick.
  *
- * Scheduling an event for the current tick from inside a callback
+ * Scheduling an event for the current tick from inside a handler
  * running under runDue(now) is well-defined: the new event fires in
- * the same drain, after all previously scheduled due events
- * (scheduling order is preserved by the sequence number).
+ * the same drain, after all previously scheduled due events.
  */
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    /** Ticks covered by the per-tick lists (a power of two). */
+    static constexpr Tick kWindow = 512;
 
-    /** Rebuilds a callback from its descriptor on restore. */
-    using Factory = std::function<Callback(const EventDesc &, Tick)>;
-
-    /** Schedule `cb` to run at absolute tick `when`. */
-    void
-    schedule(Tick when, Callback cb)
+    EventQueue()
     {
-        schedule(when, std::move(cb), EventDesc{});
+        head_.fill(kNil);
+        tail_.fill(kNil);
     }
 
-    /** Schedule with a descriptor so the event survives checkpoints. */
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
+
+    /** Install the handler every due event is fired through. */
+    void setHandler(EventHandler *handler) { handler_ = handler; }
+
+    /** Schedule `desc` to fire at absolute tick `when`. */
     void
-    schedule(Tick when, Callback cb, EventDesc desc)
+    schedule(Tick when, EventDesc desc)
     {
         if (when < horizon_) {
 #ifndef NDEBUG
@@ -120,9 +152,20 @@ class EventQueue
 #endif
             when = horizon_;
         }
-        heap_.push_back(
-            Event{when, nextSeq_++, std::move(cb), std::move(desc)});
-        std::push_heap(heap_.begin(), heap_.end(), Event::later);
+        std::uint32_t n = free_;
+        if (n != kNil) {
+            free_ = nodes_[n].next;
+            nodes_[n].desc = std::move(desc);
+        } else {
+            n = static_cast<std::uint32_t>(nodes_.size());
+            nodes_.push_back(Node{std::move(desc), kNil});
+        }
+        if (when - base_ < kWindow) {
+            append(n, when);
+        } else {
+            far_.push_back(Far{when, farSeq_++, n});
+            std::push_heap(far_.begin(), far_.end(), Far::later);
+        }
     }
 
     /** Run all events with tick <= now (events may schedule more). */
@@ -130,113 +173,207 @@ class EventQueue
     runDue(Tick now)
     {
         horizon_ = std::max(horizon_, now);
-        while (!heap_.empty() && heap_.front().when <= now) {
-            std::pop_heap(heap_.begin(), heap_.end(), Event::later);
-            // Move out before pop so the callback can schedule events.
-            Callback cb = std::move(heap_.back().cb);
-            heap_.pop_back();
-            cb();
+        for (Tick t = nextEventTick(); t <= now; t = nextEventTick()) {
+            MITTS_ASSERT(handler_, "EventQueue has no handler");
+            advance(t);
+            const unsigned b = bucket(t);
+            // Re-read the head each time: a handler may append an
+            // event for this same tick, which fires in this drain.
+            while (head_[b] != kNil) {
+                const std::uint32_t n = head_[b];
+                head_[b] = nodes_[n].next;
+                if (head_[b] == kNil) {
+                    tail_[b] = kNil;
+                    occupied_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+                }
+                --inWindow_;
+                // Move out before firing: the handler may schedule,
+                // which reuses this node or grows the pool.
+                const EventDesc d = std::move(nodes_[n].desc);
+                nodes_[n].next = free_;
+                free_ = n;
+                handler_->fire(d, t);
+            }
         }
+        advance(horizon_);
     }
 
-    bool empty() const { return heap_.empty(); }
-    std::size_t size() const { return heap_.size(); }
+    bool empty() const { return size() == 0; }
+    std::size_t size() const { return inWindow_ + far_.size(); }
 
     /** Tick of the earliest pending event (kTickNever when empty). */
     Tick
     nextEventTick() const
     {
-        return heap_.empty() ? kTickNever : heap_.front().when;
+        if (inWindow_ == 0)
+            return far_.empty() ? kTickNever : far_.front().when;
+        // Window ticks map to buckets circularly from bucket(base_):
+        // the first occupied bucket in that order is the earliest.
+        const unsigned start = bucket(base_);
+        const unsigned first_word = start / 64;
+        std::uint64_t bits =
+            occupied_[first_word] & (~std::uint64_t{0} << (start % 64));
+        unsigned w = first_word;
+        for (unsigned i = 0; bits == 0 && i < kWords; ++i) {
+            w = (w + 1) % kWords;
+            bits = occupied_[w];
+        }
+        const unsigned b =
+            w * 64 + static_cast<unsigned>(std::countr_zero(bits));
+        return base_ + ((b - start) & kMask);
     }
 
-    /**
-     * Serialize pending events in drain order. Throws ckpt::Error if
-     * any pending event is Opaque (no descriptor to rebuild it from).
-     */
+    /** Serialize pending events in drain order. */
     void
     saveState(ckpt::Writer &w) const
     {
-        std::vector<const Event *> ordered;
-        ordered.reserve(heap_.size());
-        for (const auto &e : heap_) {
-            if (e.desc.kind == EventDesc::Kind::Opaque)
-                throw ckpt::Error(
-                    "cannot checkpoint an opaque event (scheduled "
-                    "without a descriptor) pending at tick " +
-                    std::to_string(e.when));
-            ordered.push_back(&e);
+        std::vector<std::pair<Tick, const EventDesc *>> ordered;
+        ordered.reserve(size());
+        for (Tick k = 0; k < kWindow; ++k) {
+            const Tick when = base_ + k;
+            for (std::uint32_t n = head_[bucket(when)]; n != kNil;
+                 n = nodes_[n].next)
+                ordered.emplace_back(when, &nodes_[n].desc);
         }
-        std::sort(ordered.begin(), ordered.end(),
-                  [](const Event *a, const Event *b) {
-                      return a->when != b->when ? a->when < b->when
-                                                : a->seq < b->seq;
-                  });
+        std::vector<Far> far = far_;
+        std::sort(far.begin(), far.end(), [](const Far &a, const Far &b) {
+            return Far::later(b, a);
+        });
+        for (const Far &f : far)
+            ordered.emplace_back(f.when, &nodes_[f.node].desc);
+
         w.u64(horizon_);
         w.u64(ordered.size());
-        for (const Event *e : ordered) {
-            w.u64(e->when);
-            w.u8(static_cast<std::uint8_t>(e->desc.kind));
-            w.i64(e->desc.core);
-            w.u64(e->desc.seq);
-            w.request(e->desc.req);
+        for (const auto &[when, d] : ordered) {
+            w.u64(when);
+            w.u8(static_cast<std::uint8_t>(d->kind));
+            w.i64(d->core);
+            w.u64(d->seq);
+            w.request(d->req);
         }
     }
 
     /**
-     * Restore into an empty queue, rebuilding callbacks via `factory`.
-     * Events are renumbered 0..n-1 in drain order.
+     * Restore into an empty queue: every descriptor is checked (kind
+     * byte, tick not below the saved horizon, then the handler's
+     * validate()) and re-queued through schedule() in drain order.
+     * Throws ckpt::Error on the first bad one.
      */
     void
-    loadState(ckpt::Reader &r, const Factory &factory)
+    loadState(ckpt::Reader &r)
     {
-        MITTS_ASSERT(heap_.empty(),
+        MITTS_ASSERT(empty(),
                      "EventQueue::loadState on a non-empty queue");
         horizon_ = r.u64();
+        base_ = horizon_;
+        farSeq_ = 0;
         const std::uint64_t n = r.u64();
-        heap_.clear();
-        heap_.reserve(n);
         for (std::uint64_t i = 0; i < n; ++i) {
             const Tick when = r.u64();
+            const std::uint8_t kind = r.u8();
             EventDesc d;
-            d.kind = static_cast<EventDesc::Kind>(r.u8());
             d.core = static_cast<CoreId>(r.i64());
             d.seq = r.u64();
             d.req = r.request();
-            if (d.kind == EventDesc::Kind::Opaque)
-                throw ckpt::Error("opaque event in checkpoint");
-            Callback cb = factory(d, when);
-            if (!cb)
+            if (kind < EventDesc::kFirstKind ||
+                kind > EventDesc::kLastKind)
+                throw ckpt::Error("event kind " + std::to_string(kind) +
+                                  " out of range in checkpoint");
+            if (when < horizon_)
                 throw ckpt::Error(
-                    "event factory returned no callback");
-            heap_.push_back(Event{when, i, std::move(cb),
-                                  std::move(d)});
+                    "event at tick " + std::to_string(when) +
+                    " lies before the checkpoint's drain horizon " +
+                    std::to_string(horizon_));
+            d.kind = static_cast<EventDesc::Kind>(kind);
+            if (handler_)
+                handler_->validate(d);
+            schedule(when, std::move(d));
         }
-        // Drain order is a valid heap order, but normalize anyway.
-        std::make_heap(heap_.begin(), heap_.end(), Event::later);
-        nextSeq_ = n;
     }
 
   private:
-    struct Event
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+    static constexpr Tick kMask = kWindow - 1;
+    static constexpr unsigned kWords = kWindow / 64;
+
+    /** A pending event; `next` links its tick's list or the free
+     *  list. */
+    struct Node
+    {
+        EventDesc desc;
+        std::uint32_t next;
+    };
+
+    /** An event beyond the window, ordered by (when, seq). */
+    struct Far
     {
         Tick when;
         std::uint64_t seq;
-        Callback cb;
-        EventDesc desc;
+        std::uint32_t node;
 
         /** Max-heap comparator inverted into a min-heap. */
         static bool
-        later(const Event &a, const Event &b)
+        later(const Far &a, const Far &b)
         {
             return a.when != b.when ? a.when > b.when : a.seq > b.seq;
         }
     };
 
-    std::vector<Event> heap_;
-    // detlint-transient(pending events are renumbered 0..n-1 on load)
-    std::uint64_t nextSeq_ = 0;
+    static unsigned bucket(Tick t) { return static_cast<unsigned>(t & kMask); }
+
+    /** Link node `n` at the tail of tick `when`'s list. */
+    void
+    append(std::uint32_t n, Tick when)
+    {
+        const unsigned b = bucket(when);
+        nodes_[n].next = kNil;
+        if (tail_[b] == kNil) {
+            head_[b] = n;
+            occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
+        } else {
+            nodes_[tail_[b]].next = n;
+        }
+        tail_[b] = n;
+        ++inWindow_;
+    }
+
+    /**
+     * Slide the window to start at `t` (no pending event lies below
+     * it) and move far events that now fall inside it into their
+     * lists, in (when, seq) order.
+     */
+    void
+    advance(Tick t)
+    {
+        if (t <= base_)
+            return;
+        base_ = t;
+        while (!far_.empty() && far_.front().when - base_ < kWindow) {
+            std::pop_heap(far_.begin(), far_.end(), Far::later);
+            append(far_.back().node, far_.back().when);
+            far_.pop_back();
+        }
+    }
+
+    std::vector<Node> nodes_;
+    // detlint-transient(calendar storage; rebuilt by schedule() on load)
+    std::uint32_t free_ = kNil;
+    // detlint-transient(calendar storage; rebuilt by schedule() on load)
+    std::array<std::uint32_t, kWindow> head_;
+    // detlint-transient(calendar storage; rebuilt by schedule() on load)
+    std::array<std::uint32_t, kWindow> tail_;
+    // detlint-transient(calendar storage; rebuilt by schedule() on load)
+    std::array<std::uint64_t, kWords> occupied_{};
+    // detlint-transient(calendar storage; rebuilt by schedule() on load)
+    std::size_t inWindow_ = 0;
+    std::vector<Far> far_;
+    // detlint-transient(far events are renumbered 0..n-1 on load)
+    std::uint64_t farSeq_ = 0;
+    /** First tick of the window; equals horizon_ between drains. */
+    Tick base_ = 0;
     /** Tick of the most recent runDue(); past-schedule clamp floor. */
     Tick horizon_ = 0;
+    EventHandler *handler_ = nullptr;
 };
 
 } // namespace mitts

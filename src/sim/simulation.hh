@@ -89,18 +89,22 @@ class Simulation
     /** Current cycle (the cycle being executed during a tick). */
     Tick now() const { return now_; }
 
-    /** Delayed-callback queue shared by all components. */
+    /** Typed event queue shared by all components. */
     EventQueue &events() { return events_; }
 
     bool skipAhead() const { return cfg_.skipAhead; }
     void setSkipAhead(bool on) { cfg_.skipAhead = on; }
+
+    /** Paranoia mode (SimulationConfig::verifySkip or the
+     *  MITTS_SIM_VERIFY_SKIP environment variable). */
+    bool verifySkip() const { return cfg_.verifySkip; }
 
     /** Whole-cycle gaps fast-forwarded so far (introspection). */
     std::uint64_t cyclesSkipped() const { return cyclesSkipped_; }
 
     /**
      * Checkpoint the kernel's own state. The event queue is handled
-     * separately by the System, which owns the callback factory.
+     * separately by the System, which installs its event handler.
      * cyclesSkipped_ is introspection-only and deliberately not part
      * of the bit-identity contract (skip and no-skip runs differ in
      * it by construction), but round-tripping it keeps a resumed run's
@@ -335,7 +339,7 @@ class Simulation
     // detlint-transient(derived claim cache; reset and re-polled on load)
     WakeWheel wheel_;
     std::vector<stats::Group *> statGroups_;
-    // detlint-transient(checkpointed by the System, which owns the event factory)
+    // detlint-transient(checkpointed by the System, which installs the event handler)
     EventQueue events_;
 };
 

@@ -134,10 +134,10 @@ struct SystemConfig
      * The hook for dynamic workloads (the cloud engine's per-slot
      * CloudTrace). Arguments: core id, app index, the app's profile,
      * the app's base address, the per-core master-RNG seed and the
-     * thread index within the app. Like System::eventFactory, a
-     * closure cannot be serialized: checkpoints record only its
-     * presence (ckpt/config_hash.cc) and the factory owner must
-     * rebuild the same factory before restoring.
+     * thread index within the app. A closure cannot be serialized:
+     * checkpoints record only its presence (ckpt/config_hash.cc) and
+     * the factory owner must rebuild the same factory before
+     * restoring.
      */
     std::function<std::unique_ptr<TraceSource>(
         CoreId, unsigned, const AppProfile &, Addr, std::uint64_t,

@@ -16,6 +16,7 @@ namespace mitts
 System::System(const SystemConfig &cfg) : cfg_(cfg), sim_(cfg_.sim)
 {
     MITTS_ASSERT(!cfg_.apps.empty(), "system needs at least one app");
+    sim_.events().setHandler(this);
 
     MITTS_ASSERT(cfg_.customProfiles.empty() ||
                      cfg_.customProfiles.size() == cfg_.apps.size(),
@@ -46,6 +47,7 @@ System::System(const SystemConfig &cfg) : cfg_(cfg), sim_(cfg_.sim)
     mc_ = std::make_unique<MemController>("mc", mc_cfg, cfg_.dram,
                                           sim_.events());
     mc_->initPerCore(numCores_);
+    mc_->setVerifyIssueGate(sim_.verifySkip());
 
     // Shared LLC.
     llc_ = std::make_unique<SharedLlc>("llc", cfg_.llc, numCores_,
@@ -375,40 +377,40 @@ System::checkpointHash() const
     return ckpt::configHash(cfg_);
 }
 
-EventQueue::Factory
-System::eventFactory()
+void
+System::fire(const EventDesc &d, Tick when)
 {
-    return [this](const EventDesc &d,
-                  Tick when) -> EventQueue::Callback {
-        switch (d.kind) {
-          case EventDesc::Kind::LoadComplete: {
-            if (d.core < 0 ||
-                static_cast<unsigned>(d.core) >= numCores_)
-                throw ckpt::Error("event core out of range");
-            Core *core = cores_[d.core].get();
-            const SeqNum seq = d.seq;
-            return [core, seq, when] {
-                core->loadComplete(seq, when);
-            };
-          }
-          case EventDesc::Kind::LlcFill: {
-            if (!d.req || d.req->core < 0 ||
-                static_cast<unsigned>(d.req->core) >= numCores_)
-                throw ckpt::Error("fill event request invalid");
-            L1Cache *l1 = l1s_[d.req->core].get();
-            const ReqPtr req = d.req;
-            return [l1, req, when] { l1->fill(req, when); };
-          }
-          case EventDesc::Kind::MemComplete: {
-            if (!d.req)
-                throw ckpt::Error("completion event without request");
-            return mc_->completionCallback(d.req, when);
-          }
-          case EventDesc::Kind::Opaque:
-            break;
-        }
-        throw ckpt::Error("opaque event in checkpoint");
-    };
+    switch (d.kind) {
+      case EventDesc::Kind::LoadComplete:
+        cores_[d.core]->loadComplete(d.seq, when);
+        return;
+      case EventDesc::Kind::LlcFill:
+        l1s_[d.req->core]->fill(d.req, when);
+        return;
+      case EventDesc::Kind::MemComplete:
+        mc_->complete(d.req, when);
+        return;
+    }
+}
+
+void
+System::validate(const EventDesc &d) const
+{
+    switch (d.kind) {
+      case EventDesc::Kind::LoadComplete:
+        if (d.core < 0 || static_cast<unsigned>(d.core) >= numCores_)
+            throw ckpt::Error("event core out of range");
+        return;
+      case EventDesc::Kind::LlcFill:
+        if (!d.req || d.req->core < 0 ||
+            static_cast<unsigned>(d.req->core) >= numCores_)
+            throw ckpt::Error("fill event request invalid");
+        return;
+      case EventDesc::Kind::MemComplete:
+        if (!d.req)
+            throw ckpt::Error("completion event without request");
+        return;
+    }
 }
 
 void
@@ -627,10 +629,7 @@ System::restoreCheckpoint(const std::string &path)
     r.endSection();
 
     r.beginSection("events");
-    {
-        EventQueue::Factory factory = eventFactory();
-        sim_.events().loadState(r, factory);
-    }
+    sim_.events().loadState(r);
     r.endSection();
 
     if (telemetry_) {

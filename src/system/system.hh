@@ -40,11 +40,16 @@ struct AppResult
     std::uint64_t memStallCycles = 0;
 };
 
-class System : public AppMonitor
+class System : public AppMonitor, public EventHandler
 {
   public:
     explicit System(const SystemConfig &cfg);
     ~System() override;
+
+    /** The event queue holds a pointer to this System (its
+     *  handler), so a System never moves. */
+    System(const System &) = delete;
+    System &operator=(const System &) = delete;
 
     // AppMonitor
     unsigned numCores() const override { return numCores_; }
@@ -125,8 +130,7 @@ class System : public AppMonitor
      * Write a full-state snapshot to `path` (atomically: temp file +
      * rename). A run restored from it and a run that never stopped
      * produce byte-identical stats dumps, telemetry CSV and trace
-     * JSON. Throws ckpt::Error on unserializable state (e.g. a
-     * pending event scheduled without a descriptor) or I/O failure.
+     * JSON. Throws ckpt::Error on I/O failure.
      */
     void saveCheckpoint(const std::string &path);
 
@@ -160,9 +164,12 @@ class System : public AppMonitor
         batchCallback_ = std::move(cb);
     }
 
+    // EventHandler: routes each event to its component.
+    void fire(const EventDesc &d, Tick when) override;
+    void validate(const EventDesc &d) const override;
+
   private:
     void buildScheduler();
-    EventQueue::Factory eventFactory();
 
     SystemConfig cfg_;
     unsigned numCores_ = 0;

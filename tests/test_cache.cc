@@ -137,6 +137,19 @@ class RecordingClient : public L1Client
     std::vector<SeqNum> completed;
 };
 
+/** Delivers L1-hit completions to the recording client, the role
+ *  the System's event handler plays for a core. */
+struct ToClient : public EventHandler
+{
+    void
+    fire(const EventDesc &d, Tick when) override
+    {
+        client->loadComplete(d.seq, when);
+    }
+
+    L1Client *client = nullptr;
+};
+
 struct L1Fixture : public ::testing::Test
 {
     L1Fixture()
@@ -144,12 +157,15 @@ struct L1Fixture : public ::testing::Test
     {
         l1.setClient(&client);
         l1.setDownstream(&sink);
+        toClient.client = &client;
+        events.setHandler(&toClient);
     }
 
     RequestPool pool;
     EventQueue events;
     RecordingSink sink;
     RecordingClient client;
+    ToClient toClient;
     L1Cache l1;
 };
 

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -259,45 +261,117 @@ TEST(CkptFormat, ConfigHashIgnoresKernelModeAndOutputPaths)
 
 // --- event queue --------------------------------------------------------
 
-TEST(CkptEventQueue, SameTickOrderSurvivesRoundTrip)
+/** Records the descriptor seq of every fired event. */
+struct SeqRecorder : public EventHandler
 {
-    EventQueue q;
-    // Three same-tick events plus an earlier one, scheduled out of
-    // order; descriptors carry the identity the factory needs.
-    auto desc = [](SeqNum id) { return EventDesc::loadComplete(0, id); };
-    q.schedule(5, [] {}, desc(10));
-    q.schedule(5, [] {}, desc(11));
-    q.schedule(3, [] {}, desc(12));
-    q.schedule(5, [] {}, desc(13));
+    void
+    fire(const EventDesc &d, Tick) override
+    {
+        fired.push_back(d.seq);
+    }
+    std::vector<SeqNum> fired;
+};
 
+/** Save `q`, restore into a fresh queue firing into `into`. */
+std::unique_ptr<EventQueue>
+roundTrip(const EventQueue &q, EventHandler &into)
+{
     ckpt::Writer w;
     w.beginSection("events");
     q.saveState(w);
     w.endSection();
-
-    std::vector<SeqNum> fired;
-    EventQueue q2;
-    EventQueue::Factory factory =
-        [&fired](const EventDesc &d, Tick) -> EventQueue::Callback {
-        return [&fired, seq = d.seq] { fired.push_back(seq); };
-    };
+    auto q2 = std::make_unique<EventQueue>();
+    q2->setHandler(&into);
     ckpt::Reader r(w.finish(0), 0);
     r.beginSection("events");
-    q2.loadState(r, factory);
+    q2->loadState(r);
     r.endSection();
-
-    EXPECT_EQ(q2.size(), 4u);
-    q2.runDue(10);
-    EXPECT_EQ(fired, (std::vector<SeqNum>{12, 10, 11, 13}));
+    return q2;
 }
 
-TEST(CkptEventQueue, OpaquePendingEventFailsSave)
+TEST(CkptEventQueue, SameTickOrderSurvivesRoundTrip)
 {
     EventQueue q;
-    q.schedule(4, [] {}); // no descriptor
+    // Three same-tick events plus an earlier one, scheduled out of
+    // order; descriptors carry the identity the handler sees.
+    auto desc = [](SeqNum id) { return EventDesc::loadComplete(0, id); };
+    q.schedule(5, desc(10));
+    q.schedule(5, desc(11));
+    q.schedule(3, desc(12));
+    q.schedule(5, desc(13));
+
+    SeqRecorder h;
+    auto q2 = roundTrip(q, h);
+    EXPECT_EQ(q2->size(), 4u);
+    q2->runDue(10);
+    EXPECT_EQ(h.fired, (std::vector<SeqNum>{12, 10, 11, 13}));
+}
+
+TEST(CkptEventQueue, FarEventsSurviveRoundTrip)
+{
+    // Far events (beyond the calendar window) share ticks with near
+    // ones; the restored queue drains exactly like the original.
+    auto desc = [](SeqNum id) { return EventDesc::loadComplete(0, id); };
+    auto fill = [&](EventQueue &q) {
+        const Tick t = 2 * EventQueue::kWindow + 7;
+        q.schedule(t, desc(1));
+        q.schedule(9 * EventQueue::kWindow, desc(2));
+        q.schedule(t, desc(3));
+        q.schedule(40, desc(4));
+        q.runDue(30);
+        q.schedule(t, desc(5)); // still far
+        q.runDue(t - 20);      // t is now inside the window
+        q.schedule(t, desc(6));
+        q.schedule(t + EventQueue::kWindow, desc(7)); // far
+    };
+    SeqRecorder ref_h;
+    EventQueue ref;
+    ref.setHandler(&ref_h);
+    fill(ref);
+
+    SeqRecorder h;
+    EventQueue q;
+    q.setHandler(&h);
+    fill(q);
+    auto q2 = roundTrip(q, h);
+    ASSERT_EQ(q2->size(), ref.size());
+    EXPECT_EQ(q2->nextEventTick(), ref.nextEventTick());
+    ref.runDue(10 * EventQueue::kWindow);
+    q2->runDue(10 * EventQueue::kWindow);
+    EXPECT_EQ(h.fired, ref_h.fired);
+    EXPECT_EQ(h.fired, (std::vector<SeqNum>{4, 1, 3, 5, 6, 7, 2}));
+}
+
+/** An image whose one section, "events", holds one event. */
+std::string
+oneEventPayload(Tick horizon, Tick when, std::uint8_t kind,
+                CoreId core)
+{
     ckpt::Writer w;
     w.beginSection("events");
-    EXPECT_THROW(q.saveState(w), ckpt::Error);
+    w.u64(horizon);
+    w.u64(1);
+    w.u64(when);
+    w.u8(kind);
+    w.i64(core);
+    w.u64(7);
+    w.request(ReqPtr{});
+    w.endSection();
+    return w.finish(0);
+}
+
+TEST(CkptEventQueue, OutOfRangeKindByteFailsLoad)
+{
+    for (const std::uint8_t kind : {std::uint8_t{0}, std::uint8_t{4},
+                                    std::uint8_t{255}}) {
+        SeqRecorder h;
+        EventQueue q;
+        q.setHandler(&h);
+        ckpt::Reader r(oneEventPayload(10, 12, kind, 0), 0);
+        r.beginSection("events");
+        EXPECT_THROW(q.loadState(r), ckpt::Error) << int{kind};
+        EXPECT_TRUE(q.empty());
+    }
 }
 
 // --- full system --------------------------------------------------------
@@ -460,6 +534,203 @@ TEST(CkptSystem, RejectsCorruptedCheckpointFile)
         EXPECT_THROW(b.restoreCheckpoint(path), ckpt::Error);
     }
     std::filesystem::remove(path);
+}
+
+// --- corrupted fixed-size state ---------------------------------------
+//
+// The image is re-sealed after each edit (both CRC layers), so these
+// reach the component checks behind the format's own validation.
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    return buf.str();
+}
+
+std::uint64_t
+getLe(const std::string &s, std::size_t off, std::size_t n)
+{
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        v |= std::uint64_t{static_cast<unsigned char>(s[off + i])}
+             << (8 * i);
+    return v;
+}
+
+void
+putLe(std::string &s, std::size_t off, std::uint64_t v, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        s[off + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+
+/** Apply `edit` to section `name`'s payload in checkpoint image
+ *  `img` and re-seal the section and file CRCs. */
+std::string
+editSection(const std::string &img, const std::string &name,
+            const std::function<void(std::string &)> &edit)
+{
+    const std::size_t header = sizeof(ckpt::kMagic) + 4 + 8;
+    std::string out = img.substr(0, header + 4);
+    const std::size_t count = getLe(img, header, 4);
+    std::size_t off = header + 4;
+    bool found = false;
+    for (std::size_t s = 0; s < count; ++s) {
+        const std::size_t name_len = getLe(img, off, 4);
+        const std::string sec = img.substr(off + 4, name_len);
+        const std::size_t len = getLe(img, off + 4 + name_len, 8);
+        std::string payload = img.substr(off + 12 + name_len, len);
+        if (sec == name) {
+            edit(payload);
+            found = true;
+        }
+        std::string rec(12 + name_len, '\0');
+        putLe(rec, 0, name_len, 4);
+        rec.replace(4, name_len, sec);
+        putLe(rec, 4 + name_len, payload.size(), 8);
+        out += rec + payload;
+        std::string crc(4, '\0');
+        putLe(crc, 0, ckpt::crc32(payload.data(), payload.size()), 4);
+        out += crc;
+        off += 12 + name_len + len + 4;
+    }
+    EXPECT_TRUE(found) << "no section " << name;
+    std::string crc(4, '\0');
+    putLe(crc, 0, ckpt::crc32(out.data(), out.size()), 4);
+    return out + crc;
+}
+
+/** The payload of section `name` in a finished Writer image. */
+std::string
+payloadOf(const std::string &img, const std::string &name)
+{
+    std::string payload;
+    editSection(img, name, [&](std::string &p) { payload = p; });
+    return payload;
+}
+
+class CkptCorrupt : public ::testing::Test
+{
+  protected:
+    CkptCorrupt() : cfg_(ckptConfig())
+    {
+        System a(cfg_);
+        a.run(1'024);
+        a.saveCheckpoint(path_);
+        image_ = readFile(path_);
+    }
+
+    ~CkptCorrupt() override { std::filesystem::remove(path_); }
+
+    /** Restoring `img` into a fresh System throws one ckpt::Error
+     *  whose message contains `what`. */
+    void
+    expectRejected(const std::string &img, const std::string &what)
+    {
+        {
+            std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+            out << img;
+        }
+        System b(cfg_);
+        try {
+            b.restoreCheckpoint(path_);
+            ADD_FAILURE() << "restore accepted a checkpoint with: "
+                          << what;
+        } catch (const ckpt::Error &e) {
+            EXPECT_NE(std::string(e.what()).find(what),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    /** The image with its events section replaced by one event. */
+    std::string
+    withOneEvent(std::int64_t when_delta, std::uint8_t kind, CoreId core)
+    {
+        return editSection(image_, "events", [&](std::string &p) {
+            const Tick horizon = getLe(p, 0, 8);
+            const Tick when = static_cast<Tick>(
+                static_cast<std::int64_t>(horizon) + when_delta);
+            p = payloadOf(oneEventPayload(horizon, when, kind, core),
+                          "events");
+        });
+    }
+
+    SystemConfig cfg_;
+    // One file per test: ctest runs the cases as parallel processes.
+    std::string path_ = tmpPath(
+        std::string("mitts_corrupt_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".ckpt");
+    std::string image_;
+};
+
+TEST_F(CkptCorrupt, UntouchedImageRestores)
+{
+    System b(cfg_);
+    EXPECT_NO_THROW(b.restoreCheckpoint(path_));
+}
+
+// Core 0's window leads the "cores" section: u64 count, then
+// (u64 seq, u8 done, u8 isMem) per entry.
+TEST_F(CkptCorrupt, RejectsOverfullCoreWindow)
+{
+    expectRejected(editSection(image_, "cores",
+                               [&](std::string &p) {
+                                   putLe(p, 0, cfg_.core.windowSize + 1,
+                                         8);
+                               }),
+                   "more than its");
+}
+
+TEST_F(CkptCorrupt, RejectsNonConsecutiveWindowSeqs)
+{
+    const std::size_t n = getLe(payloadOf(image_, "cores"), 0, 8);
+    ASSERT_GE(n, 2u);
+    expectRejected(editSection(image_, "cores",
+                               [&](std::string &p) {
+                                   putLe(p, 18, getLe(p, 18, 8) + 1, 8);
+                               }),
+                   "not consecutive");
+    // The u64 after the window is nextSeq, which must follow the tail.
+    const std::size_t next_seq = 8 + 10 * n;
+    expectRejected(editSection(image_, "cores",
+                               [&](std::string &p) {
+                                   putLe(p, next_seq,
+                                         getLe(p, next_seq, 8) + 1, 8);
+                               }),
+                   "does not end at the next seq");
+}
+
+TEST_F(CkptCorrupt, RejectsOutOfRangeEventKind)
+{
+    expectRejected(withOneEvent(5, 0, 0), "event kind 0 out of range");
+    expectRejected(withOneEvent(5, 4, 0), "event kind 4 out of range");
+}
+
+TEST_F(CkptCorrupt, RejectsLoadCompleteForUnknownCore)
+{
+    expectRejected(withOneEvent(5, 1, 99), "event core out of range");
+    expectRejected(withOneEvent(5, 1, -3), "event core out of range");
+}
+
+TEST_F(CkptCorrupt, RejectsFillWithoutRequest)
+{
+    expectRejected(withOneEvent(5, 2, 0), "fill event request invalid");
+}
+
+TEST_F(CkptCorrupt, RejectsCompletionWithoutRequest)
+{
+    expectRejected(withOneEvent(5, 3, 0),
+                   "completion event without request");
+}
+
+TEST_F(CkptCorrupt, RejectsEventBeforeHorizon)
+{
+    expectRejected(withOneEvent(-1, 1, 0), "drain horizon");
 }
 
 TEST(CkptSystem, CheckpointExtrasRideAlong)

@@ -31,6 +31,19 @@ class HoldSink : public MemSink
     std::vector<ReqPtr> held;
 };
 
+/** Delivers L1-hit completions to an L1 client, the role the
+ *  System's event handler plays for a core. */
+struct ToClient : public EventHandler
+{
+    void
+    fire(const EventDesc &d, Tick when) override
+    {
+        client->loadComplete(d.seq, when);
+    }
+
+    L1Client *client = nullptr;
+};
+
 struct CoreFixture : public ::testing::Test
 {
     void
@@ -43,6 +56,8 @@ struct CoreFixture : public ::testing::Test
         core = std::make_unique<Core>("core", 0, CoreConfig{},
                                       trace.get(), l1.get());
         l1->setClient(core.get());
+        toCore.client = core.get();
+        events.setHandler(&toCore);
     }
 
     void
@@ -58,6 +73,7 @@ struct CoreFixture : public ::testing::Test
 
     RequestPool pool;
     EventQueue events;
+    ToClient toCore;
     HoldSink sink;
     std::unique_ptr<ScriptedTrace> trace;
     std::unique_ptr<L1Cache> l1;

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "memctrl/mem_controller.hh"
 #include "system/system.hh"
 #include "sched/frfcfs.hh"
@@ -16,12 +19,26 @@ namespace mitts
 namespace
 {
 
+/** Runs DRAM completions on the controller under test, the role the
+ *  System's event handler plays. */
+struct ToMc : public EventHandler
+{
+    void
+    fire(const EventDesc &d, Tick when) override
+    {
+        mc->complete(d.req, when);
+    }
+
+    MemController *mc = nullptr;
+};
+
 struct McFixture : public ::testing::Test
 {
     McFixture()
     {
         dram_cfg = DramConfig::ddr3_1333();
         dram_cfg.refreshEnabled = false;
+        events.setHandler(&toMc);
     }
 
     void
@@ -34,6 +51,7 @@ struct McFixture : public ::testing::Test
                                              events);
         mc->initPerCore(4);
         mc->setScheduler(&sched);
+        toMc.mc = mc.get();
     }
 
     ReqPtr
@@ -56,6 +74,7 @@ struct McFixture : public ::testing::Test
     DramConfig dram_cfg;
     RequestPool pool;
     EventQueue events;
+    ToMc toMc;
     FrfcfsScheduler sched;
     std::unique_ptr<MemController> mc;
 };
@@ -164,6 +183,7 @@ TEST_F(McFixture, MultiChannelInterleavesAndServicesInParallel)
                                          events);
     mc->initPerCore(4);
     mc->setScheduler(&sched);
+    toMc.mc = mc.get();
 
     // Consecutive rows land on alternating channels.
     const Addr row = dram_cfg.rowBytes;
@@ -232,6 +252,67 @@ TEST_F(McFixture, SchedulerSwapInvalidatesCachedWakeClaim)
     FrfcfsScheduler other;
     mc->setScheduler(&other);
     EXPECT_TRUE(mc->wakeClaimDirty());
+}
+
+/** FR-FCFS that counts its pick() calls and the ones that issue. */
+class CountingScheduler : public FrfcfsScheduler
+{
+  public:
+    int
+    pick(const TxnQueue &queue, const Dram &dram, Tick now) override
+    {
+        const int p = FrfcfsScheduler::pick(queue, dram, now);
+        ++calls;
+        if (p >= 0)
+            ++issued;
+        return p;
+    }
+
+    std::uint64_t calls = 0;
+    std::uint64_t issued = 0;
+};
+
+// The issue gate calls pick() only on cycles where some queued
+// transaction can issue; FR-FCFS then always issues one.
+TEST_F(McFixture, IssueGateCallsPickOnlyWhenSomethingCanIssue)
+{
+    build(32, 0);
+    CountingScheduler counting;
+    mc->setScheduler(&counting);
+    for (SeqNum i = 0; i < 32; ++i)
+        mc->push(demand(i * 0x40000 + (i % 3) * 64, 0, i), 0);
+    run(0, 20'000);
+    EXPECT_EQ(mc->completed(), 32u);
+    EXPECT_EQ(counting.calls, 32u);
+    EXPECT_EQ(counting.issued, counting.calls);
+}
+
+std::string
+statsOf(System &sys)
+{
+    std::ostringstream os;
+    sys.dumpStats(os);
+    return os.str();
+}
+
+// Verify mode: on every cycle the issue gate skips a channel, the
+// controller re-scans the queue and asserts that no transaction could
+// have issued (and the kernel checks every wake claim). Each scheduler
+// runs that way and must match its plain run byte for byte.
+TEST(McIssueGate, ExactUnderVerifyModeForEveryScheduler)
+{
+    for (SchedulerKind k : allSchedulers()) {
+        SystemConfig cfg = SystemConfig::multiProgram(
+            {"mcf", "libquantum", "omnetpp", "astar"});
+        cfg.sched = k;
+        cfg.seed = 99;
+        SystemConfig verify = cfg;
+        verify.sim.verifySkip = true;
+        System plain(cfg), checked(verify);
+        plain.run(60'000);
+        checked.run(60'000);
+        EXPECT_EQ(statsOf(checked), statsOf(plain)) << schedulerName(k);
+    }
 }
 
 } // namespace

@@ -6,10 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <queue>
 #include <sstream>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "base/random.hh"
+#include "ckpt/serialize.hh"
 #include "sim/clocked.hh"
 #include "sim/event_queue.hh"
 #include "sim/simulation.hh"
@@ -21,53 +27,95 @@ namespace mitts
 namespace
 {
 
+/**
+ * Records every fired event as (tick, descriptor seq) and then runs
+ * an optional hook, through which a test schedules follow-up events.
+ */
+struct RecordingHandler : public EventHandler
+{
+    void
+    fire(const EventDesc &d, Tick when) override
+    {
+        fired.emplace_back(when, d.seq);
+        if (hook)
+            hook(d, when);
+    }
+
+    /** Descriptor seqs in firing order. */
+    std::vector<SeqNum>
+    ids() const
+    {
+        std::vector<SeqNum> out;
+        for (const auto &[when, id] : fired)
+            out.push_back(id);
+        return out;
+    }
+
+    std::vector<std::pair<Tick, SeqNum>> fired;
+    std::function<void(const EventDesc &, Tick)> hook;
+};
+
+/** A test event identified by `id` (carried in the seq field). */
+EventDesc
+ev(SeqNum id)
+{
+    return EventDesc::loadComplete(0, id);
+}
+
 TEST(EventQueue, FiresInTimeOrder)
 {
     EventQueue q;
-    std::vector<int> fired;
-    q.schedule(10, [&] { fired.push_back(10); });
-    q.schedule(5, [&] { fired.push_back(5); });
-    q.schedule(7, [&] { fired.push_back(7); });
+    RecordingHandler h;
+    q.setHandler(&h);
+    q.schedule(10, ev(10));
+    q.schedule(5, ev(5));
+    q.schedule(7, ev(7));
     q.runDue(10);
+    const std::vector<SeqNum> fired = h.ids();
     ASSERT_EQ(fired.size(), 3u);
-    EXPECT_EQ(fired[0], 5);
-    EXPECT_EQ(fired[1], 7);
-    EXPECT_EQ(fired[2], 10);
+    EXPECT_EQ(fired[0], 5u);
+    EXPECT_EQ(fired[1], 7u);
+    EXPECT_EQ(fired[2], 10u);
 }
 
 TEST(EventQueue, SameTickFifo)
 {
     EventQueue q;
-    std::vector<int> fired;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(3, [&fired, i] { fired.push_back(i); });
+    RecordingHandler h;
+    q.setHandler(&h);
+    for (SeqNum i = 0; i < 5; ++i)
+        q.schedule(3, ev(i));
     q.runDue(3);
-    for (int i = 0; i < 5; ++i)
+    const std::vector<SeqNum> fired = h.ids();
+    for (SeqNum i = 0; i < 5; ++i)
         EXPECT_EQ(fired[i], i);
 }
 
 TEST(EventQueue, DoesNotFireEarly)
 {
     EventQueue q;
-    bool fired = false;
-    q.schedule(100, [&] { fired = true; });
+    RecordingHandler h;
+    q.setHandler(&h);
+    q.schedule(100, ev(1));
     q.runDue(99);
-    EXPECT_FALSE(fired);
+    EXPECT_TRUE(h.fired.empty());
     EXPECT_EQ(q.nextEventTick(), 100u);
     q.runDue(100);
-    EXPECT_TRUE(fired);
+    EXPECT_FALSE(h.fired.empty());
 }
 
 TEST(EventQueue, CallbackMaySchedule)
 {
     EventQueue q;
-    int count = 0;
-    q.schedule(1, [&] {
-        ++count;
-        q.schedule(1, [&] { ++count; });
-    });
+    RecordingHandler h;
+    q.setHandler(&h);
+    h.hook = [&](const EventDesc &d, Tick) {
+        if (d.seq == 1)
+            q.schedule(1, ev(2));
+    };
+    q.schedule(1, ev(1));
     q.runDue(5);
-    EXPECT_EQ(count, 2);
+    EXPECT_EQ(h.fired.size(), 2u);
 }
 
 class TickCounter : public Clocked
@@ -131,7 +179,10 @@ TEST(Simulation, EventsRunBeforeComponentsInACycle)
 
     Obs obs(order);
     sim.add(&obs);
-    sim.events().schedule(0, [&] { order.push_back("event"); });
+    RecordingHandler h;
+    h.hook = [&](const EventDesc &, Tick) { order.push_back("event"); };
+    sim.events().setHandler(&h);
+    sim.events().schedule(0, ev(1));
     sim.step();
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], "event");
@@ -143,28 +194,32 @@ TEST(Simulation, EventsRunBeforeComponentsInACycle)
 TEST(EventQueue, SameTickScheduleInsideDrainFiresInSameDrain)
 {
     EventQueue q;
-    std::vector<int> fired;
-    q.schedule(3, [&] {
-        fired.push_back(1);
-        q.schedule(3, [&] { fired.push_back(2); });
-    });
+    RecordingHandler h;
+    q.setHandler(&h);
+    h.hook = [&](const EventDesc &d, Tick) {
+        if (d.seq == 1)
+            q.schedule(3, ev(2));
+    };
+    q.schedule(3, ev(1));
     q.runDue(3);
+    const std::vector<SeqNum> fired = h.ids();
     ASSERT_EQ(fired.size(), 2u);
-    EXPECT_EQ(fired[0], 1);
-    EXPECT_EQ(fired[1], 2);
+    EXPECT_EQ(fired[0], 1u);
+    EXPECT_EQ(fired[1], 2u);
 }
 
 #ifdef NDEBUG
 TEST(EventQueue, PastScheduleClampsToDrainHorizon)
 {
     EventQueue q;
+    RecordingHandler h;
+    q.setHandler(&h);
     q.runDue(10);
-    bool fired = false;
-    q.schedule(5, [&] { fired = true; });
+    q.schedule(5, ev(1));
     // Clamped up to the horizon instead of being lost below it.
     EXPECT_EQ(q.nextEventTick(), 10u);
     q.runDue(10);
-    EXPECT_TRUE(fired);
+    EXPECT_FALSE(h.fired.empty());
 }
 #else
 TEST(EventQueueDeathTest, PastSchedulePanicsInDebug)
@@ -173,11 +228,198 @@ TEST(EventQueueDeathTest, PastSchedulePanicsInDebug)
         {
             EventQueue q;
             q.runDue(10);
-            q.schedule(5, [] {});
+            q.schedule(5, ev(1));
         },
         "scheduled in the past");
 }
 #endif
+
+// ---- Calendar storage ---------------------------------------------
+
+// Ticks one window apart share a list index; only the nearer one is
+// due.
+TEST(EventQueue, WindowAliasIsNotDue)
+{
+    EventQueue q;
+    RecordingHandler h;
+    q.setHandler(&h);
+    q.schedule(5, ev(1));
+    q.schedule(5 + EventQueue::kWindow, ev(2));
+    q.runDue(5);
+    EXPECT_EQ(h.ids(), (std::vector<SeqNum>{1}));
+    EXPECT_EQ(q.nextEventTick(), 5 + EventQueue::kWindow);
+    q.runDue(5 + EventQueue::kWindow);
+    EXPECT_EQ(h.ids(), (std::vector<SeqNum>{1, 2}));
+}
+
+// Events scheduled beyond the window, then near events for the same
+// tick once the window covers it: all fire in scheduling order.
+TEST(EventQueue, FarAndNearEventsOnOneTickKeepSchedulingOrder)
+{
+    EventQueue q;
+    RecordingHandler h;
+    q.setHandler(&h);
+    const Tick t = 3 * EventQueue::kWindow + 17;
+    q.schedule(t, ev(1));     // far
+    q.schedule(t + 1, ev(9)); // far, next tick
+    q.schedule(t, ev(2));     // far
+    q.runDue(t - 100);        // window now covers t
+    EXPECT_TRUE(h.fired.empty());
+    q.schedule(t, ev(3)); // near
+    q.schedule(t + 1, ev(10));
+    q.schedule(t, ev(4));
+    EXPECT_EQ(q.size(), 6u);
+    EXPECT_EQ(q.nextEventTick(), t);
+    q.runDue(t + 1);
+    EXPECT_EQ(h.ids(), (std::vector<SeqNum>{1, 2, 3, 4, 9, 10}));
+    EXPECT_TRUE(q.empty());
+}
+
+// One drain spanning many windows fires every event in tick order.
+TEST(EventQueue, DrainAcrossSeveralWindows)
+{
+    EventQueue q;
+    RecordingHandler h;
+    q.setHandler(&h);
+    q.schedule(4 * EventQueue::kWindow, ev(3));
+    q.schedule(EventQueue::kWindow - 1, ev(1));
+    q.schedule(2 * EventQueue::kWindow + 1, ev(2));
+    q.schedule(9 * EventQueue::kWindow, ev(4));
+    q.runDue(5 * EventQueue::kWindow);
+    EXPECT_EQ(h.ids(), (std::vector<SeqNum>{1, 2, 3}));
+    ASSERT_EQ(h.fired.size(), 3u);
+    EXPECT_EQ(h.fired[1].first, 2 * EventQueue::kWindow + 1);
+    EXPECT_EQ(q.nextEventTick(), 9 * EventQueue::kWindow);
+}
+
+// A skip-ahead jump longer than the window, with and without events
+// waiting on the far side.
+TEST(EventQueue, SkipJumpLongerThanWindow)
+{
+    EventQueue q;
+    RecordingHandler h;
+    q.setHandler(&h);
+    q.schedule(3, ev(1));
+    q.schedule(2'000, ev(2));
+    q.schedule(5'000, ev(3));
+    q.runDue(3);
+    EXPECT_EQ(q.nextEventTick(), 2'000u);
+    q.runDue(4'999);
+    EXPECT_EQ(h.ids(), (std::vector<SeqNum>{1, 2}));
+    q.runDue(100'000); // lands far past every event
+    EXPECT_EQ(h.ids(), (std::vector<SeqNum>{1, 2, 3}));
+    EXPECT_EQ(q.nextEventTick(), kTickNever);
+    // The window restarts at the new horizon.
+    q.schedule(100'010, ev(4));
+    q.schedule(100'000 + EventQueue::kWindow, ev(5));
+    EXPECT_EQ(q.nextEventTick(), 100'010u);
+    q.runDue(100'010);
+    EXPECT_EQ(h.ids(), (std::vector<SeqNum>{1, 2, 3, 4}));
+    q.runDue(100'000 + EventQueue::kWindow);
+    EXPECT_EQ(h.ids(), (std::vector<SeqNum>{1, 2, 3, 4, 5}));
+}
+
+// A window that starts late in the list array wraps to its front:
+// ticks past the wrap still come after the ones before it.
+TEST(EventQueue, ListIndexWrapsAround)
+{
+    EventQueue q;
+    RecordingHandler h;
+    q.setHandler(&h);
+    const Tick base = 5 * EventQueue::kWindow - 12;
+    q.runDue(base);
+    q.schedule(base + 20, ev(4)); // wraps to a low index
+    q.schedule(base + 11, ev(2));
+    q.schedule(base + 12, ev(3)); // first index of the array
+    q.schedule(base + 10, ev(1));
+    q.schedule(base + EventQueue::kWindow - 1, ev(5));
+    EXPECT_EQ(q.nextEventTick(), base + 10);
+    q.runDue(base + 11);
+    EXPECT_EQ(h.ids(), (std::vector<SeqNum>{1, 2}));
+    EXPECT_EQ(q.nextEventTick(), base + 12);
+    q.runDue(base + EventQueue::kWindow);
+    EXPECT_EQ(h.ids(), (std::vector<SeqNum>{1, 2, 3, 4, 5}));
+}
+
+/**
+ * Differential test: random schedules (near, across the window edge
+ * and far), drains with short steps and long jumps, handlers that
+ * schedule more events (same tick included) and checkpoint round
+ * trips, against a reference (when, seq) priority queue.
+ */
+TEST(EventQueue, MatchesReferenceQueueUnderRandomOperations)
+{
+    using Key = std::tuple<Tick, std::uint64_t, SeqNum>;
+    std::priority_queue<Key, std::vector<Key>, std::greater<Key>> ref;
+    std::uint64_t ref_seq = 0;
+    SeqNum next_id = 1;
+    Random rng(20260417);
+
+    auto q = std::make_unique<EventQueue>();
+    Tick horizon = 0;
+    bool follow_ups = true;
+
+    auto offset = [&] {
+        const std::uint64_t r = rng.below(100);
+        if (r < 60)
+            return rng.below(8);
+        if (r < 85)
+            return rng.below(2 * EventQueue::kWindow);
+        return rng.below(20 * EventQueue::kWindow);
+    };
+    auto add = [&](Tick when) {
+        const SeqNum id = next_id++;
+        q->schedule(when, ev(id));
+        ref.emplace(when, ref_seq++, id);
+    };
+
+    RecordingHandler handler;
+    handler.hook = [&](const EventDesc &d, Tick when) {
+        ASSERT_FALSE(ref.empty());
+        const auto [want_when, seq, want_id] = ref.top();
+        ref.pop();
+        ASSERT_EQ(when, want_when);
+        ASSERT_EQ(d.seq, want_id);
+        // Follow-ups at or after the drain horizon, often this tick.
+        if (follow_ups && rng.below(4) == 0)
+            add(horizon + (rng.below(3) == 0 ? 0 : offset()));
+    };
+    q->setHandler(&handler);
+
+    for (int op = 0; op < 200'000; ++op) {
+        const std::uint64_t r = rng.below(100);
+        if (r < 55) {
+            add(horizon + offset());
+        } else if (r < 99) {
+            horizon += rng.below(50) == 0 ? rng.below(3'000)
+                                          : rng.below(4);
+            q->runDue(horizon);
+        } else {
+            // Round trip through a checkpoint; pending order must
+            // survive the renumbering.
+            ckpt::Writer w;
+            w.beginSection("events");
+            q->saveState(w);
+            w.endSection();
+            ckpt::Reader rd(w.finish(0), 0);
+            rd.beginSection("events");
+            q = std::make_unique<EventQueue>();
+            q->setHandler(&handler);
+            q->loadState(rd);
+            rd.endSection();
+        }
+        ASSERT_EQ(q->size(), ref.size()) << "op " << op;
+        ASSERT_EQ(q->nextEventTick(),
+                  ref.empty() ? kTickNever : std::get<0>(ref.top()))
+            << "op " << op;
+    }
+    follow_ups = false;
+    horizon += 100 * EventQueue::kWindow;
+    q->runDue(horizon);
+    EXPECT_TRUE(ref.empty());
+    EXPECT_TRUE(q->empty());
+    EXPECT_GT(handler.fired.size(), 100'000u);
+}
 
 // ---- Quiescence-aware skip-ahead ----------------------------------
 
@@ -247,10 +489,11 @@ TEST(SkipAhead, LandsExactlyOnPendingEvent)
     Simulation sim;
     Sleeper s(1000);
     sim.add(&s);
-    bool fired = false;
-    sim.events().schedule(40, [&] { fired = true; });
+    RecordingHandler h;
+    sim.events().setHandler(&h);
+    sim.events().schedule(40, ev(1));
     sim.run(60);
-    EXPECT_TRUE(fired);
+    EXPECT_FALSE(h.fired.empty());
     // Executed: cycle 0, the event cycle 40, nothing else.
     ASSERT_EQ(s.ticks.size(), 2u);
     EXPECT_EQ(s.ticks[1], 40u);
@@ -309,9 +552,11 @@ TEST(SkipAhead, RunUntilDrainsDueEventsBeforePredicate)
     Simulation sim;
     Sleeper s(1000);
     sim.add(&s);
-    bool flag = false;
-    sim.events().schedule(50, [&] { flag = true; });
-    const bool hit = sim.runUntil([&] { return flag; }, 200);
+    RecordingHandler h;
+    sim.events().setHandler(&h);
+    sim.events().schedule(50, ev(1));
+    const bool hit =
+        sim.runUntil([&] { return !h.fired.empty(); }, 200);
     EXPECT_TRUE(hit);
     // The predicate observes the event on the cycle it lands on.
     EXPECT_EQ(sim.now(), 50u);
