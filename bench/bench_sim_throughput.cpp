@@ -56,8 +56,8 @@ mixedPhaseMix()
     // Alternating regimes: a small credit burst in a fast bin drains
     // quickly (saturated phase), then the cores sit blocked until the
     // replenishment period (idle phase). Exercises the skip decision
-    // and the wake-claim cache on every phase transition rather than
-    // steady-state at either extreme.
+    // and the rotating wake poll on every phase transition rather
+    // than steady-state at either extreme.
     SystemConfig cfg = SystemConfig::multiProgram(
         {"mcf", "libquantum", "omnetpp", "astar"});
     cfg.gate = GateKind::Mitts;

@@ -55,10 +55,13 @@ class SourceGate
      * Earliest future tick at which a currently refused tryIssue()
      * could succeed, assuming no other simulation activity (the
      * answer is recomputed after every executed cycle). `now` is the
-     * cycle just executed. The default — always next cycle — keeps
-     * any gate correct at the cost of forgoing skip-ahead while it
-     * blocks; gates whose refusals mutate call-pattern-sensitive
-     * state (lazy floating-point token refill) must keep it.
+     * cycle just executed. A blocked L1 sleeps until this tick, so
+     * every token-based gate answers exactly: its refused calls may
+     * only change state that one catch-up at the claimed tick
+     * reproduces bit for bit (integer tokens, see
+     * base/token_bucket.hh). The default — always next cycle — is the
+     * always-safe answer for gates that never block (NullGate) and
+     * test doubles.
      */
     virtual Tick
     nextIssueTick(Tick now) const

@@ -51,8 +51,10 @@ namespace mitts::ckpt
  *  v2: the core section gained the halted flag (cloud slots).
  *  v3: request payloads carried schedMarked (PAR-BS flat state).
  *  v4: schedMarked dropped with PAR-BS; request payloads end at
- *      llcHit. */
-constexpr std::uint32_t kFormatVersion = 4;
+ *      llcHit.
+ *  v5: static/FST gate tokens and Rolling shaper remainders are
+ *      exact integers (u64 level + refill tick; u64 remainders). */
+constexpr std::uint32_t kFormatVersion = 5;
 
 /** File magic ("MITTSCKP", 8 bytes, no terminator). */
 extern const char kMagic[8];

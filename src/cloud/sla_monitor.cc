@@ -124,8 +124,9 @@ SlaMonitor::closeWindow(Tick /*now*/)
 
         double p99 = 0.0;
         if (dtotal > 0) {
-            stats::Histogram scratch("scratch", h->numBins(),
-                                     h->binWidth());
+            stats::Histogram scratch(
+                "scratch", static_cast<unsigned>(h->numBins()),
+                h->binWidth());
             scratch.restore(std::move(dbins), dunder, dover, dtotal,
                             dsum);
             p99 = scratch.percentile(0.99);

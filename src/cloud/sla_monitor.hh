@@ -93,11 +93,6 @@ class SlaMonitor : public Clocked, public ckpt::Serializable
     void tick(Tick now) override;
     Tick nextWakeTick(Tick now) const override;
 
-    /** The claim is a pure function of the fixed window length and
-     *  the current cycle (next window-end boundary), so it stays
-     *  valid until it fires. */
-    bool wakeClaimCacheable() const override { return true; }
-
     // ckpt::Serializable
     void saveState(ckpt::Writer &w) const override;
     void loadState(ckpt::Reader &r) override;

@@ -58,12 +58,7 @@ Tenant::bill(Tick now)
 void
 Tenant::saveState(ckpt::Writer &w) const
 {
-    w.u64(current_.spec.numBins);
-    w.u64(current_.spec.intervalLength);
-    w.u64(current_.spec.replenishPeriod);
-    w.u64(current_.spec.maxCredits);
-    w.u8(static_cast<std::uint8_t>(current_.spec.policy));
-    w.vecU32(current_.credits);
+    saveBinConfig(w, current_);
     w.u64(accruedTo_);
     w.f64(charges_);
 }
@@ -71,13 +66,7 @@ Tenant::saveState(ckpt::Writer &w) const
 void
 Tenant::loadState(ckpt::Reader &r)
 {
-    BinSpec spec;
-    spec.numBins = static_cast<unsigned>(r.u64());
-    spec.intervalLength = r.u64();
-    spec.replenishPeriod = r.u64();
-    spec.maxCredits = static_cast<std::uint32_t>(r.u64());
-    spec.policy = static_cast<ReplenishPolicy>(r.u8());
-    current_ = BinConfig(spec, r.vecU32());
+    current_ = loadBinConfig(r);
     accruedTo_ = r.u64();
     charges_ = r.f64();
 }
@@ -104,7 +93,6 @@ AutoScaler::schedule(ScheduledReconfig entry)
                         const ScheduledReconfig &b) {
                          return a.at < b.at;
                      });
-    markWakeDirty(); // the schedule head may now be earlier
 }
 
 void
@@ -135,12 +123,7 @@ AutoScaler::saveState(ckpt::Writer &w) const
     w.u64(schedule_.size());
     for (const auto &e : schedule_) {
         w.u64(e.at);
-        w.u64(e.config.spec.numBins);
-        w.u64(e.config.spec.intervalLength);
-        w.u64(e.config.spec.replenishPeriod);
-        w.u64(e.config.spec.maxCredits);
-        w.u8(static_cast<std::uint8_t>(e.config.spec.policy));
-        w.vecU32(e.config.credits);
+        saveBinConfig(w, e.config);
     }
     w.u64(rules_.size());
     for (const auto &rule : rules_)
@@ -159,13 +142,7 @@ AutoScaler::loadState(ckpt::Reader &r)
     for (std::uint64_t i = 0; i < n_sched; ++i) {
         ScheduledReconfig e;
         e.at = r.u64();
-        BinSpec spec;
-        spec.numBins = static_cast<unsigned>(r.u64());
-        spec.intervalLength = r.u64();
-        spec.replenishPeriod = r.u64();
-        spec.maxCredits = static_cast<std::uint32_t>(r.u64());
-        spec.policy = static_cast<ReplenishPolicy>(r.u8());
-        e.config = BinConfig(spec, r.vecU32());
+        e.config = loadBinConfig(r);
         schedule_.push_back(std::move(e));
     }
     if (r.u64() != rules_.size())
@@ -175,7 +152,6 @@ AutoScaler::loadState(ckpt::Reader &r)
     for (auto &rule : rules_)
         rule.lastFiredAt = r.u64();
     ckpt::loadGroup(r, stats_);
-    markWakeDirty();
 }
 
 void

@@ -122,11 +122,6 @@ class AutoScaler : public Clocked, public ckpt::Serializable
      */
     Tick nextWakeTick(Tick now) const override;
 
-    /** Deadline-style claim: the check boundary and schedule head
-     *  advance only when tick() fires at them; schedule() and
-     *  restore mark the claim dirty. */
-    bool wakeClaimCacheable() const override { return true; }
-
     /**
      * Rule triggers/actions are closures and cannot be serialized;
      * the owner re-registers the same rules before loadState, which

@@ -109,7 +109,6 @@ MemController::push(ReqPtr req, Tick now)
 
     if (cfg_.smoothingFifoDepth > 0) {
         smoothingFifo_.push_back(std::move(req));
-        markWakeDirty();
         return;
     }
     req->mcEnqueueAt = now;
@@ -246,15 +245,10 @@ MemController::scheduleChannel(unsigned channel, Tick now)
     // queue.
     if (cfg_.writeDrainHigh > 0) {
         const unsigned writes = queue.writebacks();
-        bool next = draining_[channel];
         if (writes >= cfg_.writeDrainHigh)
-            next = true;
+            draining_[channel] = true;
         else if (writes <= cfg_.writeDrainLow)
-            next = false;
-        if (next != draining_[channel]) {
-            draining_[channel] = next;
-            markWakeDirty(); // latch feeds the wake fixed point
-        }
+            draining_[channel] = false;
     }
 
     // Issue gate: when no queued transaction can issue this cycle,
@@ -264,8 +258,7 @@ MemController::scheduleChannel(unsigned channel, Tick now)
     // an earlier tick or from `now` itself, scanMin_ <= now holds
     // exactly when some entry can issue now. A stale bound is never
     // read: every change to the queue or the bank timing state
-    // invalidates it first, and such a change also dirties the wake
-    // claim, so filling the cache here changes no claim.
+    // invalidates it first.
     if (!scanValid_[channel]) {
         scanMin_[channel] = scanIssueBound(channel, now);
         scanValid_[channel] = 1;

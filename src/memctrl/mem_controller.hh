@@ -75,15 +75,7 @@ class MemController : public Clocked, public MemSink
     MemController(std::string name, const McConfig &cfg,
                   const DramConfig &dram_cfg, EventQueue &events);
 
-    // Swapping the scheduler changes what nextWakeTick would answer
-    // (it folds in sched_->nextWakeTick), so the cached claim must be
-    // invalidated even though this is normally a wiring-time call.
-    void
-    setScheduler(MemScheduler *sched)
-    {
-        sched_ = sched;
-        markWakeDirty();
-    }
+    void setScheduler(MemScheduler *sched) { sched_ = sched; }
     void setLlc(SharedLlc *llc) { llc_ = llc; }
 
     // MemSink (LLC -> MC side)
@@ -92,18 +84,6 @@ class MemController : public Clocked, public MemSink
 
     void tick(Tick now) override;
     Tick nextWakeTick(Tick now) const override;
-
-    /**
-     * The controller's wake claim is a function of queue contents,
-     * DRAM timing state, the drain latches and the scheduler's own
-     * (deadline-style) claim — all of which change only via push()
-     * or an executed tick that actually does something, and every
-     * such site marks the claim dirty. That makes the claim
-     * cacheable: the Simulation stops re-polling the per-transaction
-     * timing scan every executed cycle (the dominant saturated-path
-     * overhead) and reads it from the wake wheel instead.
-     */
-    bool wakeClaimCacheable() const override { return true; }
 
     Dram &dram(unsigned channel = 0) { return *drams_[channel]; }
     const Dram &dram(unsigned channel = 0) const
@@ -200,12 +180,11 @@ class MemController : public Clocked, public MemSink
     Tick scanIssueBound(unsigned channel, Tick from) const;
 
     /** A channel's queue or DRAM timing state changed: drop its
-     *  cached scan bound and the controller-level wake claim. */
+     *  cached scan bound. */
     void
     invalidateChannel(unsigned channel)
     {
         scanValid_[channel] = 0;
-        markWakeDirty();
     }
 
     // detlint-transient(construction config; load validates geometry against it)

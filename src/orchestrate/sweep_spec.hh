@@ -98,8 +98,9 @@ struct UnitSpec
 };
 
 /** Bump when the result-record layout or unit semantics change; the
- *  version is folded into every cache key so stale entries miss. */
-constexpr std::uint32_t kRecordVersion = 1;
+ *  version is folded into every cache key so stale entries miss.
+ *  v2: static and FST gates hold exact integer tokens. */
+constexpr std::uint32_t kRecordVersion = 2;
 
 /** Parse from a stream; `what` names the source in errors. */
 SweepSpec parseSweep(std::istream &in, const std::string &what);

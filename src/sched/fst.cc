@@ -1,27 +1,52 @@
 #include "sched/fst.hh"
 
 #include <algorithm>
+#include <cmath>
 
 namespace mitts
 {
 
 constexpr double FstScheduler::kLevels[];
 
+FstGate::FstGate(FstScheduler &owner, CoreId core)
+    : owner_(owner), core_(core)
+{
+    bucket_.level = FstScheduler::kTokenUnits; // one token to start
+}
+
 bool
 FstGate::tryIssue(MemRequest &req, Tick now)
 {
     (void)req;
-    const FstConfig &cfg = owner_.config();
-    const double rate = owner_.throttleLevel(core_) * cfg.maxRate;
-    allowance_ = std::min(
-        cfg.burstCap,
-        allowance_ + static_cast<double>(now - lastRefill_) * rate);
-    lastRefill_ = now;
-    if (allowance_ >= 1.0) {
-        allowance_ -= 1.0;
-        return true;
-    }
-    return false;
+    // Refill at the current rate. adjust() changes it only on an
+    // executed cycle, in the memory controller's tick, after an L1
+    // blocked here has refilled at the old rate in the same cycle.
+    bucket_.refill(now, owner_.tokenRate(core_), owner_.tokenCap());
+    return bucket_.take(FstScheduler::kTokenUnits);
+}
+
+Tick
+FstGate::nextIssueTick(Tick now) const
+{
+    return std::max(bucket_.readyTick(owner_.tokenRate(core_),
+                                      owner_.tokenCap(),
+                                      FstScheduler::kTokenUnits),
+                    now + 1);
+}
+
+std::uint64_t
+FstScheduler::tokenRate(CoreId core) const
+{
+    return static_cast<std::uint64_t>(
+        std::llround(levels_[core] * cfg_.maxRate *
+                     static_cast<double>(kTokenUnits)));
+}
+
+std::uint64_t
+FstScheduler::tokenCap() const
+{
+    return static_cast<std::uint64_t>(std::llround(
+        cfg_.burstCap * static_cast<double>(kTokenUnits)));
 }
 
 FstScheduler::FstScheduler(unsigned num_cores, const FstConfig &cfg)
@@ -61,6 +86,13 @@ FstScheduler::tick(Tick now)
         adjust();
         nextAdjustAt_ += cfg_.interval;
     }
+}
+
+Tick
+FstScheduler::nextWakeTick(Tick now) const
+{
+    return std::max(std::min(est_->nextEpochTick(), nextAdjustAt_),
+                    now + 1);
 }
 
 void

@@ -8,8 +8,9 @@
  * each interval, when unfairness = max/min slowdown exceeds a
  * threshold, throttles down the least slowed-down application's
  * memory injection rate and unthrottles the most slowed-down one.
- * Throttling acts at the source through per-core token-bucket gates,
- * over a plain FR-FCFS memory controller.
+ * Throttling acts at the source through per-core token-bucket gates
+ * (exact integer tokens, base/token_bucket.hh), over a plain FR-FCFS
+ * memory controller.
  */
 
 #ifndef MITTS_SCHED_FST_HH
@@ -18,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "base/token_bucket.hh"
 #include "cache/interfaces.hh"
 #include "sched/frfcfs.hh"
 #include "sched/slowdown_estimator.hh"
@@ -40,33 +42,30 @@ class FstScheduler;
 class FstGate : public SourceGate
 {
   public:
-    FstGate(FstScheduler &owner, CoreId core)
-        : owner_(owner), core_(core)
-    {
-    }
+    FstGate(FstScheduler &owner, CoreId core);
 
     bool tryIssue(MemRequest &req, Tick now) override;
+    Tick nextIssueTick(Tick now) const override;
 
     void
     saveState(ckpt::Writer &w) const
     {
-        w.f64(allowance_);
-        w.u64(lastRefill_);
+        w.u64(bucket_.level);
+        w.u64(bucket_.last);
     }
 
     void
     loadState(ckpt::Reader &r)
     {
-        allowance_ = r.f64();
-        lastRefill_ = r.u64();
+        bucket_.level = r.u64();
+        bucket_.last = r.u64();
     }
 
   private:
     FstScheduler &owner_;
     // detlint-transient(immutable owning-core id)
     CoreId core_;
-    double allowance_ = 1.0;
-    Tick lastRefill_ = 0;
+    TokenBucket bucket_;
 };
 
 /**
@@ -79,6 +78,8 @@ class FstScheduler : public RankedFrfcfs
     FstScheduler(unsigned num_cores, const FstConfig &cfg);
 
     void tick(Tick now) override;
+    /** Wakes for the estimator's epoch ends and fairness checks. */
+    Tick nextWakeTick(Tick now) const override;
     void onComplete(const MemRequest &req, Tick now) override;
     void setMonitor(const AppMonitor *mon) override;
 
@@ -88,6 +89,13 @@ class FstScheduler : public RankedFrfcfs
     /** Current throttle fraction of peak injection rate. */
     double throttleLevel(CoreId core) const { return levels_[core]; }
     const FstConfig &config() const { return cfg_; }
+
+    /** Gate token units per injection. */
+    static constexpr std::uint64_t kTokenUnits = 1ULL << 32;
+    /** `core`'s gate refill rate, token units per cycle. */
+    std::uint64_t tokenRate(CoreId core) const;
+    /** Gate bucket depth in token units. */
+    std::uint64_t tokenCap() const;
 
     void saveState(ckpt::Writer &w) const override;
     void loadState(ckpt::Reader &r) override;

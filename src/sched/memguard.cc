@@ -88,10 +88,8 @@ MemGuardController::canIssueNow(CoreId core) const
     return mc_ && mc_->queueSize() == 0;
 }
 
-// nextResetAt_ moves only once the registered claim has fired, and
-// the kernel re-polls fired claims unconditionally (clocked.hh).
 void
-MemGuardController::tick(Tick now) // detlint-allow(R11): fired claim
+MemGuardController::tick(Tick now)
 {
     if (now >= nextResetAt_) {
         std::fill(used_.begin(), used_.end(), 0);

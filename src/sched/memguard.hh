@@ -85,12 +85,6 @@ class MemGuardController : public Clocked, public ckpt::Serializable
         return std::max(nextResetAt_, now + 1);
     }
 
-    /** Deadline-style claim: nextResetAt_ advances only when tick()
-     *  fires at it, and restore marks the claim dirty. (Budget
-     *  consumption via request() happens on executed cycles and
-     *  does not move the reset deadline.) */
-    bool wakeClaimCacheable() const override { return true; }
-
     /** Next budget-reset deadline (gate wake computation). */
     Tick nextResetTick() const { return nextResetAt_; }
 
@@ -117,7 +111,6 @@ class MemGuardController : public Clocked, public ckpt::Serializable
         globalBudget_ = r.u64();
         globalUsed_ = r.u64();
         nextResetAt_ = r.u64();
-        markWakeDirty();
     }
 
   private:

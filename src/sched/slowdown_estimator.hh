@@ -54,6 +54,9 @@ class SlowdownEstimator
     /** Advance epochs; call once per cycle. */
     void tick(Tick now);
 
+    /** Cycle at which tick() closes the current epoch. */
+    Tick nextEpochTick() const { return epochStart_ + cfg_.epochLength; }
+
     /** Current slowdown estimate (>= 1.0). */
     double slowdown(CoreId core) const { return slowdown_[core]; }
 

@@ -22,6 +22,15 @@
 namespace mitts
 {
 
+namespace ckpt
+{
+class Reader;
+class Writer;
+} // namespace ckpt
+
+/** Most bins a shaper supports (one 64-bit credit occupancy mask). */
+constexpr unsigned kMaxBins = 64;
+
 /** How bin credits come back (paper Sec. III-B2). */
 enum class ReplenishPolicy
 {
@@ -193,6 +202,16 @@ struct BinConfig
         return spec == o.spec && credits == o.credits;
     }
 };
+
+/** Checkpoint a BinConfig: numBins, intervalLength, replenishPeriod,
+ *  maxCredits (u64 each), the policy byte, then the credits. */
+void saveBinConfig(ckpt::Writer &w, const BinConfig &c);
+
+/** Read what saveBinConfig wrote. Throws ckpt::Error on 0 or more
+ *  than kMaxBins bins, a zero interval length or replenish period,
+ *  a maxCredits beyond 32 bits, an unknown policy byte, or a credit
+ *  count other than numBins. */
+BinConfig loadBinConfig(ckpt::Reader &r);
 
 } // namespace mitts
 

@@ -17,10 +17,8 @@ CongestionController::CongestionController(
 {
 }
 
-// nextCheckAt_ moves only once the registered claim has fired, and
-// the kernel re-polls fired claims unconditionally (clocked.hh).
 void
-CongestionController::tick(Tick now) // detlint-allow(R11): fired claim
+CongestionController::tick(Tick now)
 {
     if (now < nextCheckAt_)
         return;

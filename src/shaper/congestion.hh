@@ -50,10 +50,6 @@ class CongestionController : public Clocked, public ckpt::Serializable
         return std::max(nextCheckAt_, now + 1);
     }
 
-    /** Deadline-style claim: nextCheckAt_ advances only when tick()
-     *  fires at it, and restore marks the claim dirty. */
-    bool wakeClaimCacheable() const override { return true; }
-
     double scale() const { return scale_; }
     stats::Group &statsGroup() { return stats_; }
 
@@ -73,7 +69,6 @@ class CongestionController : public Clocked, public ckpt::Serializable
         scale_ = r.f64();
         nextCheckAt_ = r.u64();
         ckpt::loadGroup(r, stats_);
-        markWakeDirty();
     }
 
   private:

@@ -4,6 +4,7 @@
 #include <bit>
 #include <sstream>
 
+#include "base/bitutil.hh"
 #include "telemetry/telemetry.hh"
 
 namespace mitts
@@ -20,11 +21,58 @@ BinConfig::toString() const
     return os.str();
 }
 
+void
+saveBinConfig(ckpt::Writer &w, const BinConfig &c)
+{
+    w.u64(c.spec.numBins);
+    w.u64(c.spec.intervalLength);
+    w.u64(c.spec.replenishPeriod);
+    w.u64(c.spec.maxCredits);
+    w.u8(static_cast<std::uint8_t>(c.spec.policy));
+    w.vecU32(c.credits);
+}
+
+BinConfig
+loadBinConfig(ckpt::Reader &r)
+{
+    const std::uint64_t bins = r.u64();
+    BinSpec spec;
+    spec.intervalLength = r.u64();
+    spec.replenishPeriod = r.u64();
+    const std::uint64_t max_credits = r.u64();
+    const std::uint8_t policy = r.u8();
+    std::vector<std::uint32_t> credits = r.vecU32();
+    if (bins == 0 || bins > kMaxBins)
+        throw ckpt::Error("bin config: " + std::to_string(bins) +
+                          " bins (want 1.." + std::to_string(kMaxBins) +
+                          ")");
+    if (spec.intervalLength == 0)
+        throw ckpt::Error("bin config: zero interval length");
+    if (spec.replenishPeriod == 0)
+        throw ckpt::Error("bin config: zero replenish period");
+    if (max_credits > UINT32_MAX)
+        throw ckpt::Error("bin config: maxCredits " +
+                          std::to_string(max_credits) +
+                          " exceeds 32 bits");
+    if (policy > static_cast<std::uint8_t>(ReplenishPolicy::Rolling))
+        throw ckpt::Error("bin config: unknown replenish policy " +
+                          std::to_string(policy));
+    if (credits.size() != bins)
+        throw ckpt::Error("bin config: " +
+                          std::to_string(credits.size()) +
+                          " credits for " + std::to_string(bins) +
+                          " bins");
+    spec.numBins = static_cast<unsigned>(bins);
+    spec.maxCredits = static_cast<std::uint32_t>(max_credits);
+    spec.policy = static_cast<ReplenishPolicy>(policy);
+    return BinConfig(spec, std::move(credits));
+}
+
 MittsShaper::MittsShaper(std::string name, const BinConfig &cfg,
                          HybridMethod method)
     : cfg_(cfg), method_(method), credits_(cfg.credits),
       effCredits_(cfg.credits),
-      rollingAcc_(cfg.spec.numBins, 0.0),
+      rollingAcc_(cfg.spec.numBins, 0),
       nextReplenishAt_(cfg.spec.replenishPeriod),
       stats_(std::move(name)),
       issued_(stats_.addCounter("issued")),
@@ -37,6 +85,8 @@ MittsShaper::MittsShaper(std::string name, const BinConfig &cfg,
           "shaped_inter_arrival", cfg.spec.numBins,
           static_cast<double>(cfg.spec.intervalLength)))
 {
+    MITTS_ASSERT(cfg.spec.numBins <= kMaxBins, "more than ", kMaxBins,
+                 " shaper bins");
     rebuildCreditMask();
 }
 
@@ -44,8 +94,6 @@ void
 MittsShaper::rebuildCreditMask()
 {
     creditMask_ = 0;
-    if (!maskValid())
-        return;
     for (unsigned i = 0; i < credits_.size(); ++i) {
         if (credits_[i] > 0)
             creditMask_ |= std::uint64_t{1} << i;
@@ -55,7 +103,8 @@ MittsShaper::rebuildCreditMask()
 void
 MittsShaper::setConfig(const BinConfig &cfg, Tick now)
 {
-    MITTS_ASSERT(cfg.credits.size() == cfg.spec.numBins,
+    MITTS_ASSERT(cfg.credits.size() == cfg.spec.numBins &&
+                     cfg.spec.numBins <= kMaxBins,
                  "bad bin config");
     const bool same_geometry = cfg.spec == cfg_.spec;
     cfg_ = cfg;
@@ -63,7 +112,7 @@ MittsShaper::setConfig(const BinConfig &cfg, Tick now)
     recomputeEffective();
     credits_ = effCredits_;
     rebuildCreditMask();
-    rollingAcc_.assign(cfg_.spec.numBins, 0.0);
+    rollingAcc_.assign(cfg_.spec.numBins, 0);
     if (!same_geometry) {
         // Geometry change invalidates outstanding bookkeeping.
         pendingBin_.clear();
@@ -153,28 +202,27 @@ MittsShaper::replenishIfDue(Tick now)
 {
     if (cfg_.spec.policy == ReplenishPolicy::Rolling) {
         // Continuous accrual: bin i gains K_i / T_r credits per
-        // cycle, capped at K_i. Evaluated lazily over the elapsed
-        // gap, which is exact because credits are only observed at
-        // issue points.
+        // cycle, capped at K_i, held exactly as whole credits plus a
+        // remainder in units of 1/T_r credit. Any split of a gap
+        // accrues the same, so the lazy catch-up at issue points is
+        // exact.
         if (now <= lastReplenishAt_)
             return;
-        const double elapsed =
-            static_cast<double>(now - lastReplenishAt_);
-        const double period =
-            static_cast<double>(cfg_.spec.replenishPeriod);
+        const Tick period = cfg_.spec.replenishPeriod;
+        const Tick elapsed = now - lastReplenishAt_;
         lastReplenishAt_ = now;
         for (unsigned i = 0; i < cfg_.spec.numBins; ++i) {
-            rollingAcc_[i] +=
-                static_cast<double>(effectiveK(i)) * elapsed / period;
-            const auto whole =
-                static_cast<std::uint32_t>(rollingAcc_[i]);
-            if (whole > 0) {
-                rollingAcc_[i] -= whole;
-                credits_[i] = std::min(effectiveK(i),
-                                       credits_[i] + whole);
-                if (credits_[i] > 0 && maskValid())
-                    creditMask_ |= std::uint64_t{1} << i;
-            }
+            const std::uint32_t k = effectiveK(i);
+            const std::uint64_t acc =
+                rollingAcc_[i] + std::uint64_t{k} * (elapsed % period);
+            rollingAcc_[i] = acc % period;
+            // A whole period refills the bin to its cap on its own.
+            const std::uint64_t gained =
+                acc / period + (elapsed >= period ? k : 0);
+            credits_[i] = static_cast<std::uint32_t>(
+                std::min<std::uint64_t>(k, credits_[i] + gained));
+            if (credits_[i] > 0)
+                creditMask_ |= std::uint64_t{1} << i;
         }
         return;
     }
@@ -197,21 +245,13 @@ MittsShaper::replenishIfDue(Tick now)
 int
 MittsShaper::eligibleBin(unsigned bin) const
 {
-    if (maskValid()) {
-        // Highest set bit at or below `bin`.
-        const std::uint64_t below =
-            creditMask_ &
-            (bin >= 63 ? ~std::uint64_t{0}
-                       : (std::uint64_t{1} << (bin + 1)) - 1);
-        if (below == 0)
-            return -1;
-        return 63 - std::countl_zero(below);
-    }
-    for (int i = static_cast<int>(bin); i >= 0; --i) {
-        if (credits_[static_cast<unsigned>(i)] > 0)
-            return i;
-    }
-    return -1;
+    // Highest set bit at or below `bin`.
+    const std::uint64_t below =
+        creditMask_ & (bin >= 63 ? ~std::uint64_t{0}
+                                 : (std::uint64_t{1} << (bin + 1)) - 1);
+    if (below == 0)
+        return -1;
+    return 63 - std::countl_zero(below);
 }
 
 Tick
@@ -219,44 +259,47 @@ MittsShaper::nextIssueTick(Tick now) const
 {
     if (!enabled_)
         return now + 1;
-    // Rolling replenish accrues fractional credits per call with
-    // floating-point arithmetic; the per-cycle call pattern of the
-    // reference kernel cannot be reproduced by a gap-sized catch-up
-    // bit-for-bit, so a blocked L1 stays awake under that policy.
-    if (cfg_.spec.policy == ReplenishPolicy::Rolling)
-        return now + 1;
+    // Eligibility only changes as the growing inter-arrival time
+    // reaches a credited bin: a credit in bin i admits the head once
+    // now' - lastIssueAt_ >= i * L (any bin admits the very first
+    // request). Refunds and congestion rescaling happen on executed
+    // cycles and trigger recomputation.
+    const auto opens = [&](unsigned i) {
+        if (lastIssueAt_ == kTickNever)
+            return now + 1;
+        return std::max(lastIssueAt_ + i * cfg_.spec.intervalLength,
+                        now + 1);
+    };
+
+    if (cfg_.spec.policy == ReplenishPolicy::Rolling) {
+        // Bin i next holds a credit once its remainder reaches T_r
+        // (units of 1/T_r credit, K_i gained per cycle); the earliest
+        // bin that holds a credit and is open wakes the head.
+        Tick wake = kTickNever;
+        for (unsigned i = 0; i < cfg_.spec.numBins; ++i) {
+            Tick at = now + 1;
+            if (credits_[i] == 0) {
+                if (effectiveK(i) == 0)
+                    continue;
+                at = lastReplenishAt_ +
+                     divCeil(cfg_.spec.replenishPeriod - rollingAcc_[i],
+                             effectiveK(i));
+            }
+            wake = std::min(wake, std::max(at, opens(i)));
+        }
+        return wake;
+    }
 
     // Reset policy: while blocked, credits only change at the next
-    // replenish deadline (which must be an executed cycle so the lazy
+    // replenish deadline, which must be an executed cycle so the lazy
     // catch-up, the replenish counter and the trace instant land
-    // exactly where the per-cycle kernel puts them), and eligibility
-    // only changes as the growing inter-arrival time reaches the
-    // nearest credited bin: a credit in bin j admits the head once
-    // now' - lastIssueAt_ >= j * L. Refunds and congestion rescaling
-    // happen on executed cycles and trigger recomputation.
+    // exactly where the per-cycle kernel puts them. The smallest
+    // credited bin opens earliest.
     Tick wake = std::max(nextReplenishAt_, now + 1);
-    // Smallest credited bin index wakes earliest.
-    int j = -1;
-    if (maskValid()) {
-        if (creditMask_ != 0)
-            j = std::countr_zero(creditMask_);
-    } else {
-        for (unsigned i = 0; i < cfg_.spec.numBins; ++i) {
-            if (credits_[i] > 0) {
-                j = static_cast<int>(i);
-                break;
-            }
-        }
-    }
-    if (j >= 0) {
-        Tick at = now + 1;
-        if (lastIssueAt_ != kTickNever) {
-            at = std::max(lastIssueAt_ +
-                              static_cast<Tick>(j) *
-                                  cfg_.spec.intervalLength,
-                          now + 1);
-        }
-        wake = std::min(wake, at);
+    if (creditMask_ != 0) {
+        wake = std::min(
+            wake, opens(static_cast<unsigned>(
+                      std::countr_zero(creditMask_))));
     }
     return wake;
 }
@@ -290,8 +333,7 @@ MittsShaper::tryIssue(MemRequest &req, Tick now)
 
     if (method_ == HybridMethod::ConservativeRefund) {
         // Deduct now, refund on LLC hit.
-        if (--credits_[static_cast<unsigned>(take)] == 0 &&
-            maskValid())
+        if (--credits_[static_cast<unsigned>(take)] == 0)
             creditMask_ &= ~(std::uint64_t{1} << take);
         deductions_.inc();
         pendingBin_[pendingKey(req)] = static_cast<unsigned>(take);
@@ -323,8 +365,7 @@ MittsShaper::onLlcResponse(const MemRequest &req, bool hit, Tick now)
             const unsigned bin = it->second;
             if (credits_[bin] < effectiveK(bin)) {
                 ++credits_[bin];
-                if (maskValid())
-                    creditMask_ |= std::uint64_t{1} << bin;
+                creditMask_ |= std::uint64_t{1} << bin;
                 refunds_.inc();
             }
         }
@@ -360,25 +401,15 @@ MittsShaper::deductForMiss(Tick inter_arrival)
         // above the observed inter-arrival instead (smallest i > bin
         // with credits) — the cheapest over-spaced credit whose
         // interval still covers this spacing — or record the loss.
-        if (maskValid()) {
-            const std::uint64_t above =
-                bin >= 63 ? 0
-                          : creditMask_ &
-                                ~((std::uint64_t{1} << (bin + 1)) - 1);
-            if (above != 0)
-                take = std::countr_zero(above);
-        } else {
-            for (unsigned i = bin + 1; i < cfg_.spec.numBins; ++i) {
-                if (credits_[i] > 0) {
-                    take = static_cast<int>(i);
-                    break;
-                }
-            }
-        }
+        const std::uint64_t above =
+            bin >= 63
+                ? 0
+                : creditMask_ & ~((std::uint64_t{1} << (bin + 1)) - 1);
+        if (above != 0)
+            take = std::countr_zero(above);
     }
     if (take >= 0) {
-        if (--credits_[static_cast<unsigned>(take)] == 0 &&
-            maskValid())
+        if (--credits_[static_cast<unsigned>(take)] == 0)
             creditMask_ &= ~(std::uint64_t{1} << take);
         deductions_.inc();
     } else {
@@ -429,16 +460,11 @@ MittsShaper::saveState(ckpt::Writer &w) const
 {
     // The live BinConfig: setConfig (the GA, phase switcher) mutates
     // it mid-run, so it is state, not configuration.
-    w.u64(cfg_.spec.numBins);
-    w.u64(cfg_.spec.intervalLength);
-    w.u64(cfg_.spec.replenishPeriod);
-    w.u64(cfg_.spec.maxCredits);
-    w.u8(static_cast<std::uint8_t>(cfg_.spec.policy));
-    w.vecU32(cfg_.credits);
+    saveBinConfig(w, cfg_);
     w.b(enabled_);
     w.vecU32(credits_);
     w.vecU32(effCredits_);
-    w.vecF64(rollingAcc_);
+    w.vecU64(rollingAcc_);
     w.f64(congestionScale_);
     w.u64(nextReplenishAt_);
     w.u64(lastReplenishAt_);
@@ -454,20 +480,19 @@ MittsShaper::saveState(ckpt::Writer &w) const
 void
 MittsShaper::loadState(ckpt::Reader &r)
 {
-    BinSpec spec;
-    spec.numBins = static_cast<unsigned>(r.u64());
-    spec.intervalLength = r.u64();
-    spec.replenishPeriod = r.u64();
-    spec.maxCredits = static_cast<std::uint32_t>(r.u64());
-    spec.policy = static_cast<ReplenishPolicy>(r.u8());
-    cfg_ = BinConfig(spec, r.vecU32());
+    cfg_ = loadBinConfig(r);
+    const unsigned bins = cfg_.spec.numBins;
     enabled_ = r.b();
     credits_ = r.vecU32();
     effCredits_ = r.vecU32();
-    rollingAcc_ = r.vecF64();
-    if (credits_.size() != spec.numBins ||
-        effCredits_.size() != spec.numBins)
+    rollingAcc_ = r.vecU64();
+    if (credits_.size() != bins || effCredits_.size() != bins ||
+        rollingAcc_.size() != bins)
         throw ckpt::Error("shaper bin count mismatch");
+    for (std::uint64_t acc : rollingAcc_) {
+        if (acc >= cfg_.spec.replenishPeriod)
+            throw ckpt::Error("shaper rolling remainder out of range");
+    }
     rebuildCreditMask();
     congestionScale_ = r.f64();
     nextReplenishAt_ = r.u64();

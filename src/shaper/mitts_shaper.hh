@@ -131,8 +131,6 @@ class MittsShaper : public SourceGate, public ckpt::Serializable
         return effCredits_[i];
     }
 
-    /** True when the bin count fits the one-word occupancy mask. */
-    bool maskValid() const { return cfg_.spec.numBins <= 64; }
     /** Recompute creditMask_ from credits_ (bulk credit updates). */
     void rebuildCreditMask();
 
@@ -147,13 +145,15 @@ class MittsShaper : public SourceGate, public ckpt::Serializable
      * Occupancy index over credits_: bit i set iff credits_[i] > 0,
      * maintained at every credit mutation. eligibleBin() and the
      * smallest-credited-bin probe in nextIssueTick() — both on the
-     * per-request hot path — become single bit-scan instructions
-     * instead of linear walks. Only maintained while numBins <= 64
-     * (the paper uses 10); larger geometries fall back to the scans.
+     * per-request hot path — become single bit-scan instructions.
+     * One word covers every bin: a shaper has at most kMaxBins (64;
+     * the paper uses 10).
      */
     // detlint-transient(derived cache; rebuilt by rebuildCreditMask() on load)
     std::uint64_t creditMask_ = 0;
-    std::vector<double> rollingAcc_;     ///< Rolling policy remainders
+    /** Rolling policy: per-bin accrued fraction of the next credit,
+     *  in units of 1/T_r credit (always < T_r). */
+    std::vector<std::uint64_t> rollingAcc_;
     double congestionScale_ = 1.0;
     Tick nextReplenishAt_;
     Tick lastReplenishAt_ = 0;

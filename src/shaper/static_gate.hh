@@ -4,15 +4,19 @@
  * baseline of paper Sec. IV-C/IV-F. A token bucket with configurable
  * (small) depth limits a core to one memory request per `interval`
  * cycles on average, with no notion of inter-arrival distribution.
+ * Tokens are exact integers (base/token_bucket.hh), so a blocked
+ * L1 sleeps until the bucket refills instead of polling it.
  */
 
 #ifndef MITTS_SHAPER_STATIC_GATE_HH
 #define MITTS_SHAPER_STATIC_GATE_HH
 
 #include <algorithm>
+#include <cmath>
 
 #include "base/logging.hh"
 #include "base/stats.hh"
+#include "base/token_bucket.hh"
 #include "cache/interfaces.hh"
 #include "ckpt/serialize.hh"
 
@@ -22,6 +26,10 @@ namespace mitts
 class StaticRateGate : public SourceGate, public ckpt::Serializable
 {
   public:
+    /** Fixed-point token units per cycle: a request costs
+     *  interval * kUnitsPerCycle units, rounded to the nearest. */
+    static constexpr std::uint64_t kUnitsPerCycle = 1 << 16;
+
     /**
      * @param interval cycles per permitted request (e.g. 1 GB/s at
      *                 2.4 GHz and 64B blocks => 154 cycles)
@@ -29,31 +37,41 @@ class StaticRateGate : public SourceGate, public ckpt::Serializable
      */
     StaticRateGate(std::string name, double interval,
                    double depth = 1.0)
-        : interval_(interval), depth_(depth), tokens_(depth),
+        : interval_(interval),
+          cost_(static_cast<std::uint64_t>(std::llround(
+              interval * static_cast<double>(kUnitsPerCycle)))),
+          cap_(static_cast<std::uint64_t>(
+              std::llround(depth * static_cast<double>(cost_)))),
           stats_(std::move(name)),
           issued_(stats_.addCounter("issued")),
           stalls_(stats_.addCounter("stall_cycles"))
     {
         MITTS_ASSERT(interval > 0 && depth >= 1.0,
                      "bad static gate parameters");
+        bucket_.level = cap_;
     }
 
     bool
     tryIssue(MemRequest &req, Tick now) override
     {
         (void)req;
-        tokens_ = std::min(
-            depth_, tokens_ + static_cast<double>(now - lastRefill_) /
-                                  interval_);
-        lastRefill_ = now;
-        if (tokens_ >= 1.0) {
-            tokens_ -= 1.0;
+        bucket_.refill(now, kUnitsPerCycle, cap_);
+        if (bucket_.take(cost_)) {
             issued_.inc();
             return true;
         }
         stalls_.inc();
         return false;
     }
+
+    Tick
+    nextIssueTick(Tick now) const override
+    {
+        return std::max(bucket_.readyTick(kUnitsPerCycle, cap_, cost_),
+                        now + 1);
+    }
+
+    void onSkippedStalls(Tick cycles) override { stalls_.inc(cycles); }
 
     /** Average allowed bandwidth in GB/s at `cpu_ghz`. */
     double
@@ -68,26 +86,24 @@ class StaticRateGate : public SourceGate, public ckpt::Serializable
     void
     saveState(ckpt::Writer &w) const override
     {
-        w.f64(tokens_);
-        w.u64(lastRefill_);
+        w.u64(bucket_.level);
+        w.u64(bucket_.last);
         ckpt::saveGroup(w, stats_);
     }
 
     void
     loadState(ckpt::Reader &r) override
     {
-        tokens_ = r.f64();
-        lastRefill_ = r.u64();
+        bucket_.level = r.u64();
+        bucket_.last = r.u64();
         ckpt::loadGroup(r, stats_);
     }
 
   private:
-    // detlint-transient(construction-time config; never mutated after build)
-    double interval_;
-    // detlint-transient(construction-time config; never mutated after build)
-    double depth_;
-    double tokens_;
-    Tick lastRefill_ = 0;
+    const double interval_;
+    const std::uint64_t cost_; ///< token units per request
+    const std::uint64_t cap_;  ///< bucket depth in token units
+    TokenBucket bucket_;
 
     stats::Group stats_;
     stats::Counter &issued_;

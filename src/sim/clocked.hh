@@ -80,43 +80,10 @@ class Clocked
         (void)to;
     }
 
-    /**
-     * Batched wake claims (opt-in). A component may declare its
-     * nextWakeTick() answer *cacheable*: valid across executed cycles
-     * — not merely until the next one — as long as the component has
-     * not called markWakeDirty(). The Simulation then registers the
-     * claim in its wake wheel and re-polls only dirty components, so
-     * the saturated path pays O(changed claims) per executed cycle
-     * instead of O(components).
-     *
-     * Opting in is a contract: markWakeDirty() MUST be called on
-     * every state change that could move the true wake tick — new
-     * external input (push), self-inflicted changes outside the
-     * claimed tick, configuration writes, and checkpoint restore.
-     * Changes that happen exactly at the claimed tick need no mark:
-     * a fired claim is <= the current cycle and is re-polled
-     * unconditionally. Claims that already satisfy the base contract
-     * ("valid while nothing executes") are cacheable exactly when the
-     * answer is a function of component state plus a max(..., now+1)
-     * clamp — a stale clamp only lowers the claim, which is safe.
-     * When in doubt, stay polled: the default is the per-cycle poll.
-     */
-    virtual bool wakeClaimCacheable() const { return false; }
-
-    /** True when the cached wake claim must be recomputed. */
-    bool wakeClaimDirty() const { return wakeDirty_; }
-
-    /** Invalidate the cached wake claim (see wakeClaimCacheable). */
-    void markWakeDirty() { wakeDirty_ = true; }
-
-    /** Called by the Simulation after re-polling the claim. */
-    void clearWakeDirty() { wakeDirty_ = false; }
-
     const std::string &name() const { return name_; }
 
   private:
     std::string name_;
-    bool wakeDirty_ = true; ///< cached wake claim needs recompute
 };
 
 } // namespace mitts

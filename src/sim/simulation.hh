@@ -5,17 +5,14 @@
  * The kernel executes cycles (event drain + all component ticks) and,
  * between executed cycles, fast-forwards across globally idle gaps:
  * the next cycle to execute is the minimum of the earliest pending
- * event and every component's self-reported nextWakeTick(). Wake
- * claims are batched — components that opt in (Clocked::
- * wakeClaimCacheable) register claims in a bucket wheel
- * (sim/wake_wheel.hh) and are re-polled only when dirty, so the
- * saturated path pays O(changed claims) per executed cycle; the
- * always-poll reference path remains the MITTS_SIM_VERIFY_SKIP
- * oracle. Skipped regions are provably no-op-or-linear: components
- * whose idle cycles accrue per-cycle counters replicate them via
- * onFastForward(), so skip-ahead on vs off is bit-identical (stats
- * dumps, telemetry CSVs, trace-event JSON). See DESIGN.md
- * "Simulation kernel".
+ * event and every component's self-reported nextWakeTick(). After
+ * every executed cycle the components are polled, starting at the one
+ * that was awake at the previous decision, until one claims the next
+ * cycle, so a busy system usually stops after one call. Skipped
+ * regions are provably no-op-or-linear: components whose idle cycles
+ * accrue per-cycle counters replicate them via onFastForward(), so
+ * skip-ahead on vs off is bit-identical (stats dumps, telemetry CSVs,
+ * trace-event JSON). See DESIGN.md "Simulation kernel".
  */
 
 #ifndef MITTS_SIM_SIMULATION_HH
@@ -32,7 +29,6 @@
 #include "base/types.hh"
 #include "sim/clocked.hh"
 #include "sim/event_queue.hh"
-#include "sim/wake_wheel.hh"
 
 namespace mitts
 {
@@ -71,17 +67,7 @@ class Simulation
     }
 
     /** Register a component; ticked in registration order. */
-    void
-    add(Clocked *c)
-    {
-        components_.push_back(c);
-        if (c->wakeClaimCacheable()) {
-            cached_.push_back(
-                {c, static_cast<std::size_t>(wheel_.addSlot())});
-        } else {
-            polled_.push_back(c);
-        }
-    }
+    void add(Clocked *c) { components_.push_back(c); }
 
     /** Register a stats group for dumpStats(). */
     void addStats(stats::Group *g) { statGroups_.push_back(g); }
@@ -122,13 +108,6 @@ class Simulation
     {
         now_ = r.u64();
         cyclesSkipped_ = r.u64();
-        // Cached wake claims predate the restored state: drop the
-        // wheel (handles the time jump) and force a re-poll of every
-        // cacheable component, independent of whether its own
-        // loadState remembered to mark itself dirty.
-        wheel_.reset();
-        for (const auto &[c, slot] : cached_)
-            c->markWakeDirty();
     }
 
     /** Run for `cycles` more cycles. */
@@ -176,29 +155,6 @@ class Simulation
         ++now_;
     }
 
-    /**
-     * Global next-wake for the current state: the earliest cycle
-     * >= now() that cannot be skipped — min of the earliest pending
-     * event and every component's nextWakeTick(), clamped to now().
-     * Meaningful once at least one cycle has executed.
-     *
-     * This is the reference implementation: it re-polls every
-     * component unconditionally. The run loop uses the batched
-     * variant below; under MITTS_SIM_VERIFY_SKIP the two are
-     * cross-checked after every executed cycle.
-     */
-    Tick
-    globalNextWake() const
-    {
-        MITTS_ASSERT(now_ > 0,
-                     "globalNextWake needs an executed cycle");
-        const Tick executed = now_ - 1;
-        Tick wake = events_.nextEventTick();
-        for (const auto *c : components_)
-            wake = std::min(wake, c->nextWakeTick(executed));
-        return std::max(wake, now_);
-    }
-
     void
     dumpStats(std::ostream &os) const
     {
@@ -222,45 +178,36 @@ class Simulation
     }
 
     /**
-     * Batched-claim next-wake (the hot-path variant of
-     * globalNextWake). Always-polled components are queried first
-     * with an early exit — in a saturated system some component
-     * claims the very next cycle, and the reduction stops before
-     * touching anything expensive. Cacheable components are
-     * re-polled only when dirty or when their registered claim has
-     * fired (claim <= now); all other claims are answered by the
-     * wake wheel's hierarchical min without a single virtual call.
+     * Global next wake after an executed cycle: the earliest cycle
+     * >= now() that cannot be skipped, i.e. the minimum of the
+     * earliest pending event and every component's nextWakeTick().
      *
-     * A cached claim used here is exactly what a fresh poll would
-     * return: opted-in components promise their claim is a function
-     * of component state (unchanged, else dirty) plus a
-     * max(..., now+1) floor, and any claim at or below that floor is
-     * re-polled. Under MITTS_SIM_VERIFY_SKIP the equality is
-     * asserted against the polling oracle after every executed
-     * cycle.
+     * The poll starts at hot_, the component that ended the previous
+     * one, and wraps around; the first claim of now() ends it. A busy
+     * component tends to stay busy, so a saturated system usually
+     * pays one call here, while an idle one polls everyone and gets
+     * the exact minimum. The start index changes how many claims are
+     * read, never the answer.
      */
     Tick
-    batchedNextWake()
+    nextWake()
     {
-        const Tick executed = now_ - 1;
         Tick wake = events_.nextEventTick();
-        for (const auto *c : polled_) {
-            wake = std::min(wake, c->nextWakeTick(executed));
-            if (wake <= now_)
-                return now_; // awake next cycle; claims stay dirty
-        }
-        for (const auto &[c, slot] : cached_) {
-            if (c->wakeClaimDirty() || wheel_.claim(slot) <= now_) {
-                const Tick claim = c->nextWakeTick(executed);
-                wheel_.set(slot, claim);
-                c->clearWakeDirty();
-                // A fresh claim of exactly now_ sits below the
-                // wheel query floor below; fold it in directly.
-                wake = std::min(wake, claim);
+        if (wake <= now_)
+            return now_;
+        const Tick executed = now_ - 1;
+        const std::size_t n = components_.size();
+        for (std::size_t k = 0, i = hot_; k < n; ++k) {
+            const Tick claim = components_[i]->nextWakeTick(executed);
+            if (claim <= now_) {
+                hot_ = i;
+                return now_;
             }
+            wake = std::min(wake, claim);
+            if (++i == n)
+                i = 0;
         }
-        wake = std::min(wake, wheel_.earliest(now_ + 1));
-        return std::max(wake, now_);
+        return wake;
     }
 
     /**
@@ -273,14 +220,7 @@ class Simulation
         step();
         if (!cfg_.skipAhead || now_ >= limit)
             return;
-        Tick wake = batchedNextWake();
-        if (cfg_.verifySkip) {
-            const Tick fresh = globalNextWake();
-            MITTS_ASSERT(wake == fresh,
-                         "batched wake claim diverged from polling "
-                         "oracle: cached ", wake, " vs fresh ",
-                         fresh, " at cycle ", now_);
-        }
+        Tick wake = nextWake();
         if (wake <= now_)
             return;
         wake = std::min(wake, limit);
@@ -321,23 +261,13 @@ class Simulation
         }
     }
 
-    /** A cacheable component and its wake-wheel slot. */
-    struct CachedClaim
-    {
-        Clocked *component;
-        std::size_t slot;
-    };
-
     // detlint-transient(construction-time config; never mutated after build)
     SimulationConfig cfg_;
     Tick now_ = 0;
     std::uint64_t cyclesSkipped_ = 0;
     std::vector<Clocked *> components_;
-    std::vector<Clocked *> polled_;    ///< re-polled every cycle
-    // detlint-transient(component wiring registered at construction)
-    std::vector<CachedClaim> cached_;  ///< claims live in the wheel
-    // detlint-transient(derived claim cache; reset and re-polled on load)
-    WakeWheel wheel_;
+    // detlint-transient(poll start only; never changes the wake)
+    std::size_t hot_ = 0;
     std::vector<stats::Group *> statGroups_;
     // detlint-transient(checkpointed by the System, which installs the event handler)
     EventQueue events_;

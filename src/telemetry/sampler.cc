@@ -36,10 +36,8 @@ TimeSeriesSampler::TimeSeriesSampler(ProbeRegistry &registry,
     MITTS_ASSERT(opts.ringWindows > 0, "sampler ring must hold >= 1");
 }
 
-// nextBoundary_ moves only once the registered claim has fired, and
-// the kernel re-polls fired claims unconditionally (clocked.hh).
 void
-TimeSeriesSampler::tick(Tick now) // detlint-allow(R11): fired claim
+TimeSeriesSampler::tick(Tick now)
 {
     if (now < nextBoundary_)
         return;
@@ -192,7 +190,6 @@ TimeSeriesSampler::loadState(ckpt::Reader &r)
     nextBoundary_ = r.u64();
     windowsClosed_ = static_cast<std::size_t>(r.u64());
     headerWritten_ = r.b();
-    markWakeDirty();
 }
 
 } // namespace mitts::telemetry

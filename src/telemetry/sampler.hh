@@ -54,11 +54,6 @@ class TimeSeriesSampler : public Clocked, public ckpt::Serializable
         return std::max(nextBoundary_, now + 1);
     }
 
-    /** The claim is the boundary deadline: nextBoundary_ advances
-     *  only when tick() fires at it (a fired claim is re-polled
-     *  unconditionally) or on restore, which marks the claim dirty. */
-    bool wakeClaimCacheable() const override { return true; }
-
     /**
      * Close the partial window [lastBoundary, now) — if any cycles
      * elapsed since the last boundary — and flush the ring.

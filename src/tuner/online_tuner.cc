@@ -325,37 +325,6 @@ OnlineTuner::tick(Tick now)
         closeEpoch(now);
 }
 
-namespace
-{
-
-void
-saveBinConfig(ckpt::Writer &w, const BinConfig &c)
-{
-    w.u64(c.spec.numBins);
-    w.u64(c.spec.intervalLength);
-    w.u64(c.spec.replenishPeriod);
-    w.u64(c.spec.maxCredits);
-    w.u8(static_cast<std::uint8_t>(c.spec.policy));
-    w.vecU32(c.credits);
-}
-
-BinConfig
-loadBinConfig(ckpt::Reader &r)
-{
-    BinSpec spec;
-    spec.numBins = static_cast<unsigned>(r.u64());
-    spec.intervalLength = r.u64();
-    spec.replenishPeriod = r.u64();
-    spec.maxCredits = static_cast<std::uint32_t>(r.u64());
-    spec.policy = static_cast<ReplenishPolicy>(r.u8());
-    std::vector<std::uint32_t> credits = r.vecU32();
-    if (credits.size() != spec.numBins)
-        throw ckpt::Error("tuner bin config credit size mismatch");
-    return BinConfig(spec, std::move(credits));
-}
-
-} // namespace
-
 void
 OnlineTuner::saveState(ckpt::Writer &w) const
 {

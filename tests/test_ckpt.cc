@@ -646,6 +646,16 @@ class CkptCorrupt : public ::testing::Test
         }
     }
 
+    /** The image with `width` bytes at `off` in the shapers section
+     *  set to `v`. */
+    std::string
+    withShaperField(std::size_t off, std::size_t width, std::uint64_t v)
+    {
+        return editSection(image_, "shapers", [&](std::string &p) {
+            putLe(p, off, v, width);
+        });
+    }
+
     /** The image with its events section replaced by one event. */
     std::string
     withOneEvent(std::int64_t when_delta, std::uint8_t kind, CoreId core)
@@ -731,6 +741,37 @@ TEST_F(CkptCorrupt, RejectsCompletionWithoutRequest)
 TEST_F(CkptCorrupt, RejectsEventBeforeHorizon)
 {
     expectRejected(withOneEvent(-1, 1, 0), "drain horizon");
+}
+
+// The "shapers" section: u64 shaper count, then core 0's shaper,
+// which opens with its bin config (loadBinConfig): u64 numBins,
+// intervalLength, replenishPeriod and maxCredits, the u8 policy, then
+// the credits. Each edit below used to reach a panic or a later
+// division by zero instead of a load error.
+TEST_F(CkptCorrupt, RejectsShaperCreditCountMismatch)
+{
+    expectRejected(withShaperField(8, 8, 9), "10 credits for 9 bins");
+}
+
+TEST_F(CkptCorrupt, RejectsShaperZeroIntervalLength)
+{
+    expectRejected(withShaperField(16, 8, 0), "zero interval length");
+}
+
+TEST_F(CkptCorrupt, RejectsShaperZeroReplenishPeriod)
+{
+    expectRejected(withShaperField(24, 8, 0), "zero replenish period");
+}
+
+TEST_F(CkptCorrupt, RejectsShaperUnknownReplenishPolicy)
+{
+    expectRejected(withShaperField(40, 1, 2),
+                   "unknown replenish policy 2");
+}
+
+TEST_F(CkptCorrupt, RejectsShaperWithMoreThan64Bins)
+{
+    expectRejected(withShaperField(8, 8, 65), "65 bins (want 1..64)");
 }
 
 TEST(CkptSystem, CheckpointExtrasRideAlong)

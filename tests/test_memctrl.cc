@@ -240,20 +240,6 @@ TEST(McMultiChannel, TwoChannelsBeatOneUnderLoad)
     EXPECT_LT(cycles_with(2), cycles_with(1));
 }
 
-// The MC opts into wake-claim caching and its nextWakeTick folds in
-// sched_->nextWakeTick, so swapping the scheduler must invalidate the
-// cached claim: a kernel holding a clean claim from the old scheduler
-// would otherwise over-skip past the new one's earlier wake.
-TEST_F(McFixture, SchedulerSwapInvalidatesCachedWakeClaim)
-{
-    build(4, 0);
-    ASSERT_TRUE(mc->wakeClaimCacheable());
-    mc->clearWakeDirty(); // kernel registered the current claim
-    FrfcfsScheduler other;
-    mc->setScheduler(&other);
-    EXPECT_TRUE(mc->wakeClaimDirty());
-}
-
 /** FR-FCFS that counts its pick() calls and the ones that issue. */
 class CountingScheduler : public FrfcfsScheduler
 {

@@ -2,11 +2,19 @@
  * @file
  * Unit tests for the MITTS shaper: bin geometry, credit consumption,
  * replenishment Algorithm 1, method 1 vs method 2 reconciliation,
- * and the static-rate gate.
+ * the static-rate gate, and the exact wake claims (nextIssueTick) of
+ * every token-based gate.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
+#include "base/random.hh"
+#include "base/token_bucket.hh"
+#include "ckpt/serialize.hh"
+#include "sched/fst.hh"
 #include "shaper/bin_config.hh"
 #include "shaper/mitts_shaper.hh"
 #include "shaper/static_gate.hh"
@@ -358,6 +366,193 @@ TEST(StaticGate, BucketDepthAllowsSmallBurst)
     EXPECT_TRUE(gate.tryIssue(r, 0));
     EXPECT_TRUE(gate.tryIssue(r, 0)); // second token from the bucket
     EXPECT_FALSE(gate.tryIssue(r, 0));
+}
+
+// --- exact wake claims ----------------------------------------------------
+//
+// The skip-ahead kernel trusts SourceGate::nextIssueTick(now): it must
+// be exactly the first cycle after `now` at which the reference
+// kernel's per-cycle tryIssue retries succeed. Each case drives a gate
+// through a seeded random history of tryIssue calls, then compares
+// the claim with a per-cycle retry loop on a replica that saw the
+// same history.
+
+using GateFactory = std::function<std::unique_ptr<SourceGate>()>;
+
+/** Call tryIssue at every tick of `history`; an admitted request gets
+ *  its LLC response on the spot (every third one a hit). */
+void
+replay(SourceGate &gate, const std::vector<Tick> &history)
+{
+    SeqNum seq = 1;
+    for (Tick t : history) {
+        MemRequest r = req(seq);
+        if (gate.tryIssue(r, t)) {
+            gate.onLlcResponse(r, seq % 3 == 0, t);
+            ++seq;
+        }
+    }
+}
+
+void
+expectExactClaims(const GateFactory &make, std::uint64_t seed,
+                  Tick max_gap)
+{
+    Random rng(seed);
+    std::vector<Tick> history;
+    Tick now = 0;
+    for (int step = 0; step < 150; ++step) {
+        now += rng.below(max_gap);
+        history.push_back(now);
+        auto gate = make();
+        replay(*gate, history);
+        const Tick claim = gate->nextIssueTick(now);
+
+        auto replica = make();
+        replay(*replica, history);
+        Tick first = kTickNever;
+        MemRequest r = req(1'000'000);
+        for (Tick t = now + 1; t <= now + 1'000'000; ++t) {
+            if (replica->tryIssue(r, t)) {
+                first = t;
+                break;
+            }
+        }
+        ASSERT_EQ(claim, first) << "seed " << seed << " step " << step;
+    }
+}
+
+TEST(ExactClaims, StaticGate)
+{
+    for (double interval : {100.0, 76.8, 153.6, 4999.7}) {
+        for (double depth : {1.0, 2.0}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "interval " << interval << " depth "
+                         << depth);
+            expectExactClaims(
+                [=] {
+                    return std::make_unique<StaticRateGate>(
+                        "g", interval, depth);
+                },
+                17, static_cast<Tick>(interval * 1.5));
+        }
+    }
+}
+
+TEST(ExactClaims, FstGateAtEveryThrottleLevel)
+{
+    // Walk core 1 down the throttle ladder the way FST does: core 0
+    // is served far below its alone rate, core 1 cruises.
+    FstConfig cfg;
+    cfg.interval = 400;
+    cfg.epochLength = 100;
+    cfg.unfairnessThresh = 1.2;
+    FstScheduler sched(2, cfg);
+    std::vector<double> seen;
+    for (Tick t = 1; t <= 20'000 && seen.size() < 8; ++t) {
+        if (t % 100 == 0) {
+            const bool measuring_c0 = sched.boostedCore() == 0;
+            for (int i = 0; i < (measuring_c0 ? 30 : 2); ++i)
+                sched.onComplete(req(1, 0), t);
+            for (int i = 0; i < 10; ++i)
+                sched.onComplete(req(1, 1), t);
+        }
+        sched.tick(t);
+        const double level = sched.throttleLevel(1);
+        if (seen.empty() || seen.back() != level) {
+            seen.push_back(level);
+            SCOPED_TRACE(::testing::Message() << "level " << level);
+            expectExactClaims(
+                [&] { return std::make_unique<FstGate>(sched, 1); },
+                seen.size(),
+                static_cast<Tick>(1.5 / (level * cfg.maxRate)));
+        }
+    }
+    EXPECT_EQ(seen.size(), 8u);
+    EXPECT_DOUBLE_EQ(seen.back(), 0.02);
+}
+
+BinConfig
+rollingConfig(std::uint64_t seed)
+{
+    BinSpec s = spec10();
+    s.policy = ReplenishPolicy::Rolling;
+    Random rng(seed);
+    BinConfig cfg(s);
+    for (auto &k : cfg.credits)
+        k = static_cast<std::uint32_t>(rng.below(4));
+    cfg.credits[rng.below(s.numBins)] += 1; // at least one credit
+    return cfg;
+}
+
+TEST(ExactClaims, RollingShaper)
+{
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const BinConfig cfg = rollingConfig(seed);
+        SCOPED_TRACE(cfg.toString());
+        expectExactClaims(
+            [&] { return std::make_unique<MittsShaper>("s", cfg); },
+            seed, 120);
+    }
+}
+
+template <typename T>
+std::string
+stateOf(const T &x)
+{
+    ckpt::Writer w;
+    w.beginSection("s");
+    x.saveState(w);
+    w.endSection();
+    return w.finish(0);
+}
+
+TEST(ExactRefill, TokenBucketSplitGapMatchesOneRefill)
+{
+    Random rng(99);
+    for (int i = 0; i < 10'000; ++i) {
+        const std::uint64_t rate = 1 + rng.below(1ULL << 33);
+        const std::uint64_t cap = rng.below(1ULL << 40);
+        TokenBucket one;
+        one.level = rng.below(cap + 1);
+        one.last = rng.below(1'000);
+        // Gaps up to 2^40 cycles exercise the saturating path.
+        const Tick mid = one.last + rng.below(1ULL << (rng.below(41)));
+        const Tick end = mid + rng.below(1ULL << (rng.below(41)));
+        TokenBucket two = one;
+        one.refill(end, rate, cap);
+        two.refill(mid, rate, cap);
+        two.refill(end, rate, cap);
+        ASSERT_EQ(one.level, two.level) << i;
+        ASSERT_EQ(one.last, two.last) << i;
+        ASSERT_LE(one.level, cap) << i;
+    }
+    // rate * gap = 2^64 + 2^33 saturates instead of wrapping to 2^33.
+    TokenBucket b;
+    b.refill((Tick{1} << 31) + 1, Tick{1} << 33, Tick{1} << 40);
+    EXPECT_EQ(b.level, Tick{1} << 40);
+}
+
+TEST(ExactRefill, RollingSplitGapMatchesOneRefill)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        const BinConfig cfg = rollingConfig(seed);
+        MittsShaper one("s", cfg), two("s", cfg);
+        // Drain both alike so credits sit below their caps with
+        // nonzero remainders.
+        std::vector<Tick> history;
+        for (Tick t = 3; t < 400; t += 7)
+            history.push_back(t);
+        replay(one, history);
+        replay(two, history);
+        Random rng(seed);
+        const Tick mid = 400 + rng.below(3'000);
+        const Tick end = mid + rng.below(3'000);
+        one.replenishIfDue(end);
+        two.replenishIfDue(mid);
+        two.replenishIfDue(end);
+        EXPECT_EQ(stateOf(one), stateOf(two)) << cfg.toString();
+    }
 }
 
 } // namespace

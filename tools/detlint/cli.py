@@ -3,9 +3,9 @@
 Passes:
   lexical   R1-R4, R6-R8 pattern rules per file (see rules/lexical.py)
   compile   R5 standalone-header checks (g++ -fsyntax-only)
-  semantic  R9-R11 over an extracted class/field/method model
-            (checkpoint coverage, save/load symmetry, wake-dirty
-            pairing; see rules/semantic.py)
+  semantic  R9-R10 over an extracted class/field/method model
+            (checkpoint coverage, save/load symmetry; see
+            rules/semantic.py)
 
 Suppressions:
   // detlint-allow(Rn[,Rm]): reason   -- this line or the line below
@@ -285,7 +285,6 @@ def run_scan(root, paths, allow_path, cxx, no_r5, cache, out=None):
 
         semantic.check_r9(model, report, transient_for)
         semantic.check_r10(model, report)
-        semantic.check_r11(model, report)
 
     # --------------------------------------------- suppressions
 

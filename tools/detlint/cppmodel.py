@@ -13,7 +13,7 @@ declared classes (name, bases, fields with flags and annotation
 lines, declared method names) plus every method *body* found in the
 file (in-class or out-of-line), pre-chewed into the facts the
 semantic rules need -- referenced identifiers, same-class calls,
-written fields, whether it calls markWakeDirty, and, for bodies that
+written fields, and, for bodies that
 take a ckpt::Writer/Reader, the serialization op sequence.  Digests
 are what the incremental cache stores, so warm runs skip parsing
 entirely.
@@ -64,7 +64,6 @@ FREE_FUNC_RE = re.compile(
 IDENT_RE = re.compile(r"\b[A-Za-z_]\w*\b")
 SELF_CALL_RE = re.compile(
     r"(?<![\w.>:])([A-Za-z_]\w*)\s*\(")
-MARK_RE = re.compile(r"\bmarkWakeDirty\s*\(")
 
 WRITE_RES = [
     re.compile(r"\b([A-Za-z_]\w*_)(?:\s*\[[^\]]*\])?\s*"
@@ -257,8 +256,6 @@ def _body_facts(code, body_start, body_end, params):
         "idents": idents,
         "calls": self_calls,
         "writes": sorted(writes),
-        "marks": bool(MARK_RE.search(body)),
-        "rtrue": bool(re.search(r"\breturn\s+true\b", body)),
     }
     if wvar or rvar:
         ops = _OpScanner(code, wvar, rvar).scan(body_start, body_end)

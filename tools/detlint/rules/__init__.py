@@ -5,10 +5,10 @@ rule's behavior changes, so stale cached findings can never leak into
 a run with different rules.
 """
 
-RULESET_VERSION = "detlint-2.1"
+RULESET_VERSION = "detlint-2.2"
 
 RULES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
-         "R9", "R10", "R11")
+         "R9", "R10")
 
 RULE_DOCS = {
     "R1": "banned nondeterminism sources (wall clocks, rand, opaque "
@@ -27,7 +27,4 @@ RULE_DOCS = {
           "annotated detlint-transient",
     "R10": "save/load symmetry: the put/get op sequences of a "
            "saveState/loadState pair must match in kind and shape",
-    "R11": "wake-dirty pairing: mutators of fields read by "
-           "nextWakeTick in wake-claim-cacheable classes must call "
-           "markWakeDirty()",
 }

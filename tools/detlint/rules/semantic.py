@@ -16,15 +16,6 @@
       container with the loop walking another, or a count read into
       one variable with the loop bounded by another, is flagged.
 
-  R11 wake-dirty pairing -- in classes whose wakeClaimCacheable()
-      returns true, any method that writes a field read (transitively
-      through same-class helpers) by nextWakeTick() must call
-      markWakeDirty() somewhere on its call graph within the class.
-      Exclusions: constructors/destructor (the dirty flag starts
-      true), loadState (Simulation::loadState force-dirties every
-      cached claim), and nextWakeTick itself (its mutable-cache
-      writes ARE the claim).
-
 These rules read only the digests -- all heavy parsing happened in
 cppmodel (and is served from the incremental cache on warm runs).
 """
@@ -65,9 +56,6 @@ class ClassModel:
         lst = self.bodies.get(name)
         return lst[0] if lst else None
 
-    def field_names(self):
-        return {f["name"] for f in self.fields}
-
     def is_serializable(self):
         have = set(self.bodies) | set(self.decl_methods)
         return "saveState" in have and "loadState" in have
@@ -86,40 +74,6 @@ class ClassModel:
             for facts in self.bodies.get(callee, ()):
                 idents.update(facts["idents"])
         return idents
-
-    def reads_transitive(self, method_name):
-        """Identifiers read by `method_name` transitively through
-        same-class helper calls."""
-        seen = set()
-        idents = set()
-        work = [method_name]
-        while work:
-            name = work.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            for facts in self.bodies.get(name, ()):
-                idents.update(facts["idents"])
-                work.extend(facts["calls"])
-        return idents
-
-    def marks_transitive(self, facts):
-        """True when the method (or any same-class method reachable
-        from it) calls markWakeDirty()."""
-        if facts["marks"]:
-            return True
-        seen = set()
-        work = list(facts["calls"])
-        while work:
-            name = work.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            for f in self.bodies.get(name, ()):
-                if f["marks"]:
-                    return True
-                work.extend(f["calls"])
-        return False
 
 
 # --------------------------------------------------------------- R9
@@ -349,39 +303,3 @@ def check_r10(cls, report):
     shape |= _check_count_shapes(cls, lpath, lops, "load", report)
     if not shape:
         _compare(cls, spath, lpath, sops, lops, report, "")
-
-
-# -------------------------------------------------------------- R11
-
-R11_SKIP_METHODS = frozenset((
-    "loadState", "nextWakeTick", "wakeClaimCacheable",
-    "saveState",
-))
-
-
-def check_r11(cls, report):
-    wcc = cls.body("wakeClaimCacheable")
-    if wcc is None or not wcc.get("rtrue"):
-        return
-    wake_reads = cls.reads_transitive("nextWakeTick")
-    wake_fields = wake_reads & cls.field_names()
-    if not wake_fields:
-        return
-    for name, bodies in sorted(cls.bodies.items()):
-        if (name in R11_SKIP_METHODS or name == cls.name
-                or name == "~" + cls.name):
-            continue
-        for facts in bodies:
-            hits = sorted(set(facts["writes"]) & wake_fields)
-            if not hits:
-                continue
-            if cls.marks_transitive(facts):
-                continue
-            report("R11", facts["path"], facts["line"],
-                   "'%s::%s' writes wake-relevant field(s) %s -- "
-                   "read by nextWakeTick() in this "
-                   "wake-claim-cacheable class -- without calling "
-                   "markWakeDirty() on any path; the cached wake "
-                   "claim goes stale and the kernel may over-skip"
-                   % (cls.name, name,
-                      ", ".join("'%s'" % h for h in hits)))
