@@ -35,7 +35,9 @@ const char *cacheGeometryError(std::size_t size_bytes, unsigned assoc);
 
 /**
  * Tags only — the simulator never models data contents. Addresses are
- * block addresses (low 6 bits zero).
+ * block addresses (low 6 bits zero). The lines live in one flat
+ * `sets x assoc` vector, set-major, so a lookup is one index and a
+ * scan of `assoc` adjacent lines.
  */
 class CacheArray
 {
@@ -43,10 +45,25 @@ class CacheArray
     CacheArray(std::size_t size_bytes, unsigned assoc);
 
     /** Probe without updating replacement state. */
-    bool contains(Addr block_addr) const;
+    bool contains(Addr block_addr) const
+    {
+        return findLine(block_addr) != nullptr;
+    }
 
-    /** Probe and update LRU on hit. @return true on hit. */
-    bool touch(Addr block_addr);
+    /**
+     * Probe and, on a hit, update LRU and (for a store, `dirty`) set
+     * the dirty bit in the same search. @return true on hit.
+     */
+    bool
+    touch(Addr block_addr, bool dirty = false)
+    {
+        Line *line = findLine(block_addr);
+        if (!line)
+            return false;
+        line->lastUse = ++useClock_;
+        line->dirty |= dirty;
+        return true;
+    }
 
     /** Set the dirty bit (line must be present). */
     void markDirty(Addr block_addr);
@@ -60,14 +77,11 @@ class CacheArray
      */
     Victim insert(Addr block_addr, bool dirty);
 
-    /** Remove a line if present (back-invalidation). */
-    void invalidate(Addr block_addr);
-
-    std::size_t numSets() const { return sets_.size(); }
+    std::size_t numSets() const { return setMask_ + 1; }
     unsigned assoc() const { return assoc_; }
     std::size_t sizeBytes() const
     {
-        return sets_.size() * assoc_ * kBlockBytes;
+        return lines_.size() * kBlockBytes;
     }
 
     /** Checkpoint every tag/LRU bit (geometry is construction-time). */
@@ -83,19 +97,45 @@ class CacheArray
         std::uint64_t lastUse = 0;
     };
 
-    using Set = std::vector<Line>;
+    /** First line of `block_addr`'s set. */
+    Line *
+    setOf(Addr block_addr)
+    {
+        return &lines_[((block_addr >> kBlockShift) & setMask_) *
+                       assoc_];
+    }
 
-    std::size_t setIndex(Addr block_addr) const;
-    std::uint64_t tagOf(Addr block_addr) const;
-    Line *findLine(Addr block_addr);
-    const Line *findLine(Addr block_addr) const;
+    std::uint64_t
+    tagOf(Addr block_addr) const
+    {
+        return block_addr >> (kBlockShift + setBits_);
+    }
+
+    Line *
+    findLine(Addr block_addr)
+    {
+        const std::uint64_t tag = tagOf(block_addr);
+        Line *set = setOf(block_addr);
+        for (unsigned w = 0; w < assoc_; ++w) {
+            if (set[w].valid && set[w].tag == tag)
+                return &set[w];
+        }
+        return nullptr;
+    }
+
+    const Line *
+    findLine(Addr block_addr) const
+    {
+        return const_cast<CacheArray *>(this)->findLine(block_addr);
+    }
+
+    static constexpr unsigned kBlockShift = floorLog2(kBlockBytes);
 
     unsigned assoc_;
+    std::uint64_t setMask_; ///< number of sets - 1
     // detlint-transient(derived from geometry at construction)
-    unsigned setShift_;   ///< log2(block size)
-    // detlint-transient(derived from geometry at construction)
-    std::uint64_t setMask_;
-    std::vector<Set> sets_;
+    unsigned setBits_; ///< log2(number of sets)
+    std::vector<Line> lines_;
     std::uint64_t useClock_ = 0;
 };
 

@@ -12,13 +12,14 @@
 namespace mitts
 {
 
-/** Upstream consumer of L1 load completions (the core model). */
+/** Upstream consumer of L1 miss completions (the core model). */
 class L1Client
 {
   public:
     virtual ~L1Client() = default;
 
-    /** The load identified by `seq` has its data. */
+    /** The missing load identified by `seq` has its fill. L1 hits
+     *  never call this: the core times them from hitLatency. */
     virtual void loadComplete(SeqNum seq, Tick now) = 0;
 };
 

@@ -6,9 +6,8 @@ namespace mitts
 {
 
 L1Cache::L1Cache(std::string name, const L1Config &cfg, CoreId core,
-                 RequestPool &pool, EventQueue &events)
+                 RequestPool &pool)
     : Clocked(std::move(name)), cfg_(cfg), core_(core), pool_(pool),
-      events_(events),
       array_(cfg.sizeBytes, cfg.assoc),
       mshrs_(cfg.mshrs, cfg.mshrTargets),
       stats_(this->name()),
@@ -19,6 +18,8 @@ L1Cache::L1Cache(std::string name, const L1Config &cfg, CoreId core,
       writebacks_(stats_.addCounter("writebacks")),
       shaperStalls_(stats_.addCounter("shaper_stall_cycles"))
 {
+    // A zero-latency hit would be ready in the cycle that issued it.
+    MITTS_ASSERT(cfg.hitLatency >= 1, "L1 hit latency must be >= 1");
 }
 
 L1Result
@@ -26,14 +27,8 @@ L1Cache::access(Addr addr, bool is_write, SeqNum seq, Tick now)
 {
     const Addr block = addr & ~static_cast<Addr>(kBlockBytes - 1);
 
-    if (array_.touch(block)) {
+    if (array_.touch(block, is_write)) {
         hits_.inc();
-        if (is_write) {
-            array_.markDirty(block);
-        } else if (client_) {
-            events_.schedule(now + cfg_.hitLatency,
-                             EventDesc::loadComplete(core_, seq));
-        }
         return L1Result::Hit;
     }
 

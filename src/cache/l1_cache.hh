@@ -16,7 +16,6 @@
 #include "cache/mshr.hh"
 #include "mem/request_pool.hh"
 #include "sim/clocked.hh"
-#include "sim/event_queue.hh"
 
 namespace mitts
 {
@@ -28,13 +27,13 @@ struct L1Config
     unsigned assoc = 4;
     unsigned mshrs = 8;
     unsigned mshrTargets = 16;
-    Tick hitLatency = 2;
+    Tick hitLatency = 2; ///< >= 1: a hit is ready after dispatch
 };
 
 /** Outcome of a core access. */
 enum class L1Result
 {
-    Hit,        ///< completes after hitLatency (loads) / instantly
+    Hit,        ///< ready after hitLatency (loads) / instantly
     MissQueued, ///< MSHR allocated or coalesced; load waits for fill
     Blocked,    ///< MSHRs exhausted; core must retry
 };
@@ -43,7 +42,7 @@ class L1Cache : public Clocked, public ckpt::Serializable
 {
   public:
     L1Cache(std::string name, const L1Config &cfg, CoreId core,
-            RequestPool &pool, EventQueue &events);
+            RequestPool &pool);
 
     /** Wire up the consumer of load completions (the core). */
     void setClient(L1Client *client) { client_ = client; }
@@ -56,9 +55,17 @@ class L1Cache : public Clocked, public ckpt::Serializable
 
     /**
      * Core-side access. Stores complete architecturally on acceptance
-     * (write buffer); loads complete via L1Client::loadComplete.
+     * (write buffer); a hit load is ready hitLatency() cycles later,
+     * which the core tracks itself (no event, no callback); a missing
+     * load completes via L1Client::loadComplete on its fill.
      */
     L1Result access(Addr addr, bool is_write, SeqNum seq, Tick now);
+
+    /** Cycles from an L1-hit load's access to its result. */
+    Tick hitLatency() const { return cfg_.hitLatency; }
+
+    /** Outstanding misses (restore-time checks read the waiters). */
+    const MshrFile &mshrs() const { return mshrs_; }
 
     /** Fill response from the LLC for a previously sent miss. */
     void fill(const ReqPtr &req, Tick now);
@@ -100,7 +107,6 @@ class L1Cache : public Clocked, public ckpt::Serializable
     // detlint-transient(immutable owning-core id)
     CoreId core_;
     RequestPool &pool_;
-    EventQueue &events_;
     CacheArray array_;
     MshrFile mshrs_;
 

@@ -102,6 +102,9 @@ class MshrFile
         return static_cast<unsigned>(entries_.size());
     }
 
+    /** Every entry, valid or not, in file order. */
+    const std::vector<Mshr> &entries() const { return entries_; }
+
     void
     saveState(ckpt::Writer &w) const
     {

@@ -55,12 +55,7 @@ SharedLlc::registerTelemetry(telemetry::Telemetry &t)
                     return static_cast<double>(missMap_.size());
                 });
     probes_.add(prefix + "bank_queue_occupancy", ProbeKind::Gauge,
-                [this](Tick) {
-                    std::size_t total = 0;
-                    for (const auto &b : banks_)
-                        total += b.queue.size();
-                    return static_cast<double>(total);
-                });
+                [this](Tick) { return static_cast<double>(queued_); });
     probes_.add(prefix + "wb_backlog", ProbeKind::Gauge,
                 [this](Tick) {
                     return static_cast<double>(wbQueue_.size());
@@ -96,6 +91,7 @@ SharedLlc::push(ReqPtr req, Tick now)
             b % noc_->numNodes(), now);
     }
     bank.queue.push_back(BankEntry{std::move(req), now + delay});
+    ++queued_;
 }
 
 void
@@ -107,6 +103,8 @@ SharedLlc::tick(Tick now)
         downstream_->push(std::move(wbQueue_.front()), now);
         wbQueue_.pop_front();
     }
+    if (queued_ == 0)
+        return;
     for (auto &bank : banks_)
         processBank(bank, now);
 }
@@ -117,6 +115,11 @@ SharedLlc::nextWakeTick(Tick now) const
     // Writebacks drain (or retry) every cycle.
     if (!wbQueue_.empty())
         return now + 1;
+    // Empty banks: fills from memory re-awaken the system through
+    // scheduled events, and new requests arrive with an executed L1
+    // tick.
+    if (queued_ == 0)
+        return kTickNever;
     Tick wake = kTickNever;
     for (const auto &bank : banks_) {
         if (bank.queue.empty())
@@ -145,9 +148,7 @@ SharedLlc::processBank(Bank &bank, Tick now)
 
     if (req->op == MemOp::Writeback) {
         // L1 dirty eviction: install/refresh the line as dirty.
-        if (array_.touch(block)) {
-            array_.markDirty(block);
-        } else {
+        if (!array_.touch(block, true)) {
             Victim v = array_.insert(block, true);
             if (v.valid && v.dirty) {
                 writebacks_.inc();
@@ -157,7 +158,7 @@ SharedLlc::processBank(Bank &bank, Tick now)
                                               now));
             }
         }
-        bank.queue.pop_front();
+        popBank(bank);
         return;
     }
 
@@ -169,7 +170,7 @@ SharedLlc::processBank(Bank &bank, Tick now)
         req->llcHit = true;
         notifyGate(req, true, now);
         respondToL1(req, cfg_.hitLatency, now);
-        bank.queue.pop_front();
+        popBank(bank);
         return;
     }
 
@@ -183,7 +184,7 @@ SharedLlc::processBank(Bank &bank, Tick now)
         }
         notifyGate(req, false, now);
         it->second.push_back(std::move(req));
-        bank.queue.pop_front();
+        popBank(bank);
         return;
     }
 
@@ -203,7 +204,14 @@ SharedLlc::processBank(Bank &bank, Tick now)
     notifyGate(req, false, now);
     missMap_[block].push_back(req);
     downstream_->push(req, now);
+    popBank(bank);
+}
+
+void
+SharedLlc::popBank(Bank &bank)
+{
     bank.queue.pop_front();
+    --queued_;
 }
 
 void
@@ -282,6 +290,7 @@ SharedLlc::loadState(ckpt::Reader &r)
     array_.loadState(r);
     if (r.u64() != banks_.size())
         throw ckpt::Error("LLC bank count mismatch");
+    queued_ = 0;
     for (auto &bank : banks_) {
         bank.queue.clear();
         const std::uint64_t n = r.u64();
@@ -290,6 +299,7 @@ SharedLlc::loadState(ckpt::Reader &r)
             const Tick ready = r.u64();
             bank.queue.push_back(BankEntry{std::move(req), ready});
         }
+        queued_ += bank.queue.size();
     }
     missMap_.clear();
     const std::uint64_t nm = r.u64();

@@ -101,8 +101,6 @@ class SharedLlc : public Clocked, public MemSink,
         return *missHist_.at(c);
     }
 
-    /** Back-invalidate nothing — the hierarchy is non-inclusive. */
-
     /** Checkpoint tags, bank queues, miss map, writebacks, stats. */
     void saveState(ckpt::Writer &w) const override;
     void loadState(ckpt::Reader &r) override;
@@ -121,6 +119,8 @@ class SharedLlc : public Clocked, public MemSink,
 
     unsigned bankOf(Addr block_addr) const;
     void processBank(Bank &bank, Tick now);
+    /** Remove a bank's head entry. */
+    void popBank(Bank &bank);
     void sampleMissInterArrival(CoreId core, Tick now);
     void respondToL1(const ReqPtr &req, Tick delay, Tick now);
     void notifyGate(const ReqPtr &req, bool hit, Tick now);
@@ -131,6 +131,10 @@ class SharedLlc : public Clocked, public MemSink,
     EventQueue &events_;
     CacheArray array_;
     std::vector<Bank> banks_;
+    /** Entries across all bank queues; tick() and nextWakeTick() skip
+     *  the bank scan when it is zero. */
+    // detlint-transient(sum of the bank queue sizes; recounted on load)
+    std::size_t queued_ = 0;
     std::vector<L1Cache *> l1s_;
     std::vector<SourceGate *> gates_;
     MemSink *downstream_ = nullptr;

@@ -391,10 +391,22 @@ Reader::str()
     return std::string(need(len), len);
 }
 
+std::uint64_t
+Reader::vecLength(std::size_t elem_bytes)
+{
+    const std::uint64_t n = u64();
+    if (n > (end_ - pos_) / elem_bytes)
+        throw Error("section '" + sections_[sectionIdx_].name +
+                    "' declares a vector of " + std::to_string(n) +
+                    " elements in its remaining " +
+                    std::to_string(end_ - pos_) + " bytes");
+    return n;
+}
+
 std::vector<std::uint32_t>
 Reader::vecU32()
 {
-    const std::uint64_t n = u64();
+    const std::uint64_t n = vecLength(4);
     std::vector<std::uint32_t> v;
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i)
@@ -405,7 +417,7 @@ Reader::vecU32()
 std::vector<std::uint64_t>
 Reader::vecU64()
 {
-    const std::uint64_t n = u64();
+    const std::uint64_t n = vecLength(8);
     std::vector<std::uint64_t> v;
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i)
@@ -416,7 +428,7 @@ Reader::vecU64()
 std::vector<double>
 Reader::vecF64()
 {
-    const std::uint64_t n = u64();
+    const std::uint64_t n = vecLength(8);
     std::vector<double> v;
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i)
@@ -427,7 +439,7 @@ Reader::vecF64()
 std::vector<bool>
 Reader::vecBool()
 {
-    const std::uint64_t n = u64();
+    const std::uint64_t n = vecLength(1);
     std::vector<bool> v;
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i)

@@ -53,8 +53,11 @@ namespace mitts::ckpt
  *  v4: schedMarked dropped with PAR-BS; request payloads end at
  *      llcHit.
  *  v5: static/FST gate tokens and Rolling shaper remainders are
- *      exact integers (u64 level + refill tick; u64 remainders). */
-constexpr std::uint32_t kFormatVersion = 5;
+ *      exact integers (u64 level + refill tick; u64 remainders).
+ *  v6: core window slots carry a u64 ready tick instead of a done
+ *      flag; events drop their core and seq fields (the L1-hit
+ *      completion event is gone). */
+constexpr std::uint32_t kFormatVersion = 6;
 
 /** File magic ("MITTSCKP", 8 bytes, no terminator). */
 extern const char kMagic[8];
@@ -175,6 +178,10 @@ class Reader
 
   private:
     const char *need(std::size_t n);
+    /** Read a vector's element count; throw Error when the open
+     *  section's remaining bytes cannot hold that many elements of
+     *  `elem_bytes` bytes (checked before anything is reserved). */
+    std::uint64_t vecLength(std::size_t elem_bytes);
 
     std::string data_;
     struct Section

@@ -40,13 +40,15 @@ Core::tick(Tick now)
     bool l1_blocked = false;
     const unsigned dispatched = dispatch(now, chase_wait, l1_blocked);
 
-    // Quiescence classification. Sleepable states make progress only
-    // through the L1 — a loadComplete() or an MSHR-freeing fill() —
-    // and both always arrive via a scheduled event: a full window
-    // whose head is a pending memory op, a dispatch stalled on its
-    // chase-chain producer, or a mem op the saturated L1 rejected.
-    // Anything else (budget regrowth, actual progress) re-ticks next
-    // cycle.
+    // Quiescence classification. The sleepable states are a full
+    // window whose head is a pending load, a dispatch stalled on its
+    // chase-chain producer, and a mem op the saturated L1 rejected.
+    // Each makes progress only when a load it waits on becomes ready
+    // or the L1 frees an MSHR. An L1-hit load is ready at the readyAt
+    // its slot already holds, which nextWakeTick() claims; a miss
+    // becomes ready, and an MSHR frees, only in L1Cache::fill(),
+    // which arrives via a scheduled event. Anything else (budget
+    // regrowth, actual progress) re-ticks next cycle.
     idle_ = IdleState::Active;
     if (retired == 0 && dispatched == 0) {
         if (chase_wait)
@@ -71,7 +73,17 @@ Core::nextWakeTick(Tick now) const
     // where stallUntil_ == now + 1 (the next tick is a full one).
     if (now < stallUntil_)
         return stallUntil_;
-    return idle_ == IdleState::Active ? now + 1 : kTickNever;
+    if (idle_ == IdleState::Active)
+        return now + 1;
+    // Asleep: retirement resumes when the head is ready, and a chase
+    // stall also ends when its producer is. A missing load's readyAt
+    // stays kTickNever until its fill event sets it.
+    Tick wake = windowCount_ > 0 ? slot(0).readyAt : kTickNever;
+    if (idle_ == IdleState::ChaseStall) {
+        if (const WindowSlot *producer = chaseProducer())
+            wake = std::min(wake, producer->readyAt);
+    }
+    return wake;
 }
 
 void
@@ -96,11 +108,13 @@ Core::onFastForward(Tick from, Tick to)
             break; // capped: further cycles are fixed points
         nonMemBudget_ = next;
     }
-    // In every sleepable state a non-empty window has a not-done
-    // memory head (non-mem entries dispatch done; a done head would
-    // have retired), which is exactly retire()'s stall condition. The
-    // window is only empty when the L1 blocks the first outstanding
-    // miss (stores complete at dispatch and can saturate MSHRs alone).
+    // In every sleepable state a non-empty window has a load at its
+    // head that is not ready before `to` (non-mem entries and stores
+    // are ready at dispatch; a ready head would have retired, and the
+    // core claims the head's readyAt), which is exactly retire()'s
+    // stall condition. The window is only empty when the L1 blocks
+    // the first outstanding miss (stores complete at dispatch and can
+    // saturate MSHRs alone).
     if (windowCount_ > 0)
         memStalls_.inc(cycles);
     if (idle_ == IdleState::ChaseStall)
@@ -116,7 +130,7 @@ Core::retire(Tick now)
 {
     unsigned retired = 0;
     while (retired < cfg_.width && retired < windowCount_ &&
-           slot(retired).done)
+           slot(retired).readyAt <= now)
         ++retired;
     windowHead_ = (windowHead_ + retired) & windowMask_;
     windowCount_ -= retired;
@@ -185,7 +199,7 @@ Core::dispatch(Tick now, bool &chase_wait, bool &l1_blocked)
             if (nonMemBudget_ < 1.0)
                 break;
             nonMemBudget_ -= 1.0;
-            pushWindow(true, false);
+            pushWindow(0, false);
             ++nextSeq_;
             --gapLeft_;
             ++dispatched;
@@ -194,7 +208,7 @@ Core::dispatch(Tick now, bool &chase_wait, bool &l1_blocked)
 
         // Pointer-chase dependency: the address is not known until
         // the producing load returns.
-        if (pendingOp_.dependsOnPrev && !prevLoadDone()) {
+        if (pendingOp_.dependsOnPrev && !prevLoadDone(now)) {
             ++memDepStalls_;
             chase_wait = true;
             break;
@@ -219,9 +233,14 @@ Core::dispatch(Tick now, bool &chase_wait, bool &l1_blocked)
                 lastChaseSeq_ = seq;
         }
 
-        // Stores complete into the write buffer immediately; loads
-        // wait for loadComplete (both on hits and fills).
-        pushWindow(pendingOp_.isWrite, true);
+        // Stores complete into the write buffer immediately; a load
+        // is ready hitLatency cycles after an L1 hit, or when
+        // loadComplete() delivers its fill.
+        Tick ready_at = 0;
+        if (!pendingOp_.isWrite)
+            ready_at = res == L1Result::Hit ? now + l1_->hitLatency()
+                                            : kTickNever;
+        pushWindow(ready_at, true);
         havePendingOp_ = false;
         ++dispatched;
     }
@@ -234,7 +253,7 @@ Core::saveState(ckpt::Writer &w) const
     w.u64(windowCount_);
     for (std::size_t k = 0; k < windowCount_; ++k) {
         w.u64(windowHeadSeq_ + k);
-        w.b(slot(k).done);
+        w.u64(slot(k).readyAt);
         w.b(slot(k).isMem);
     }
     w.u64(nextSeq_);
@@ -273,8 +292,8 @@ Core::loadState(ckpt::Reader &r)
             windowHeadSeq_ = seq;
         else if (seq != windowHeadSeq_ + i)
             throw ckpt::Error("core window seqs are not consecutive");
-        const bool done = r.b();
-        pushWindow(done, r.b());
+        const Tick ready_at = r.u64();
+        pushWindow(ready_at, r.b());
     }
     nextSeq_ = r.u64();
     if (n == 0)
@@ -298,34 +317,48 @@ Core::loadState(ckpt::Reader &r)
     ckpt::loadGroup(r, stats_);
 }
 
-bool
-Core::prevLoadDone() const
+const Core::WindowSlot *
+Core::chaseProducer() const
 {
     // Chase ops serialize against the previous chase-chain load (the
     // pointer they dereference); hot-set hits in between do not
     // break the chain.
     const SeqNum producer =
         lastChaseSeq_ ? lastChaseSeq_ : lastLoadSeq_;
-    if (producer == 0)
-        return true; // no load issued yet
-    if (windowCount_ == 0 || producer < windowHeadSeq_)
-        return true; // already retired
+    if (producer == 0 || producer < windowHeadSeq_)
+        return nullptr; // no load issued yet, or already retired
     const std::size_t idx =
         static_cast<std::size_t>(producer - windowHeadSeq_);
-    return idx >= windowCount_ || slot(idx).done;
+    return idx < windowCount_ ? &slot(idx) : nullptr;
+}
+
+bool
+Core::prevLoadDone(Tick now) const
+{
+    const WindowSlot *producer = chaseProducer();
+    return !producer || producer->readyAt <= now;
+}
+
+bool
+Core::awaitsFill(SeqNum seq) const
+{
+    if (seq < windowHeadSeq_ || seq - windowHeadSeq_ >= windowCount_)
+        return false;
+    const WindowSlot &s =
+        slot(static_cast<std::size_t>(seq - windowHeadSeq_));
+    return s.isMem && s.readyAt == kTickNever;
 }
 
 void
 Core::loadComplete(SeqNum seq, Tick now)
 {
-    (void)now;
     if (windowCount_ == 0 || seq < windowHeadSeq_)
         return; // already retired (cannot happen for loads)
     const std::size_t idx = static_cast<std::size_t>(seq - windowHeadSeq_);
     MITTS_ASSERT(idx < windowCount_,
                  "loadComplete for unknown window entry");
     MITTS_ASSERT(slot(idx).isMem, "completion for non-mem entry");
-    slot(idx).done = true;
+    slot(idx).readyAt = now;
 }
 
 } // namespace mitts

@@ -7,7 +7,9 @@
  * occupy their window slot until the memory hierarchy responds, which
  * reproduces the MSHR/window-limited memory-level parallelism that
  * memory scheduling studies depend on. Stores retire into the write
- * buffer on L1 acceptance.
+ * buffer on L1 acceptance. Every slot carries the tick it becomes
+ * retirable, so an L1 hit is ready hitLatency cycles after dispatch
+ * without any event.
  */
 
 #ifndef MITTS_CORE_CORE_HH
@@ -58,6 +60,10 @@ class Core : public Clocked, public L1Client,
 
     // L1Client
     void loadComplete(SeqNum seq, Tick now) override;
+
+    /** True iff `seq` names a memory slot in the window that still
+     *  waits for its fill (restore-time check of L1 MSHR waiters). */
+    bool awaitsFill(SeqNum seq) const;
 
     CoreId id() const { return id_; }
     std::uint64_t instructions() const { return instructions_.value(); }
@@ -117,15 +123,19 @@ class Core : public Clocked, public L1Client,
      *  consecutive from windowHeadSeq_. */
     struct WindowSlot
     {
-        bool done;
+        /** First tick the entry may retire: 0 for non-memory ops and
+         *  stores, dispatch + hitLatency for an L1-hit load, and
+         *  kTickNever for a miss until loadComplete() sets the fill
+         *  tick. */
+        Tick readyAt;
         bool isMem;
     };
 
     /**
-     * Why the last executed tick made no forward progress. Event-woken
-     * states (ROB head / chase producer waiting on a load completion)
-     * let the core sleep; their per-cycle stall accounting is
-     * replicated by onFastForward.
+     * Why the last executed tick made no forward progress. These
+     * states let the core sleep until a load it waits on becomes
+     * ready (its slot's readyAt) or an L1 fill event arrives; their
+     * per-cycle stall accounting is replicated by onFastForward.
      */
     enum class IdleState
     {
@@ -140,7 +150,10 @@ class Core : public Clocked, public L1Client,
      *  unresolved pointer-chase dependency, l1_blocked when the L1
      *  rejected the pending memory op (MSHRs saturated). */
     unsigned dispatch(Tick now, bool &chase_wait, bool &l1_blocked);
-    bool prevLoadDone() const;
+    /** The chase-chain producer's window entry, or nullptr once it
+     *  has retired (or no load was issued yet). */
+    const WindowSlot *chaseProducer() const;
+    bool prevLoadDone(Tick now) const;
 
     /** The window entry `k` places behind the head. */
     WindowSlot &
@@ -155,10 +168,10 @@ class Core : public Clocked, public L1Client,
     }
 
     void
-    pushWindow(bool done, bool is_mem)
+    pushWindow(Tick ready_at, bool is_mem)
     {
         window_[(windowHead_ + windowCount_) & windowMask_] =
-            WindowSlot{done, is_mem};
+            WindowSlot{ready_at, is_mem};
         ++windowCount_;
     }
 

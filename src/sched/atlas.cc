@@ -35,6 +35,12 @@ AtlasScheduler::tick(Tick now)
     }
 }
 
+Tick
+AtlasScheduler::nextWakeTick(Tick now) const
+{
+    return std::max(nextQuantumAt_, now + 1);
+}
+
 void
 AtlasScheduler::requantize()
 {

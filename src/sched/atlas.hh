@@ -38,6 +38,8 @@ class AtlasScheduler : public RankedFrfcfs
     int pick(const TxnQueue &queue, const Dram &dram,
              Tick now) override;
     void tick(Tick now) override;
+    /** Wakes for the next quantum boundary. */
+    Tick nextWakeTick(Tick now) const override;
     void onComplete(const MemRequest &req, Tick now) override;
 
     /** Attained service totals (testing). */

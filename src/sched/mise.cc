@@ -42,6 +42,13 @@ MiseScheduler::tick(Tick now)
     }
 }
 
+Tick
+MiseScheduler::nextWakeTick(Tick now) const
+{
+    return std::max(std::min(est_->nextEpochTick(), nextIntervalAt_),
+                    now + 1);
+}
+
 void
 MiseScheduler::reprioritize()
 {

@@ -32,6 +32,8 @@ class MiseScheduler : public RankedFrfcfs
     MiseScheduler(unsigned num_cores, const MiseConfig &cfg);
 
     void tick(Tick now) override;
+    /** Wakes for the estimator's epoch ends and re-prioritizations. */
+    Tick nextWakeTick(Tick now) const override;
     void onComplete(const MemRequest &req, Tick now) override;
     void setMonitor(const AppMonitor *mon) override;
 

@@ -39,6 +39,12 @@ TcmScheduler::tick(Tick now)
     }
 }
 
+Tick
+TcmScheduler::nextWakeTick(Tick now) const
+{
+    return std::max(std::min(nextQuantumAt_, nextShuffleAt_), now + 1);
+}
+
 void
 TcmScheduler::recluster(Tick now)
 {

@@ -36,6 +36,8 @@ class TcmScheduler : public RankedFrfcfs
     TcmScheduler(unsigned num_cores, const TcmConfig &cfg);
 
     void tick(Tick now) override;
+    /** Wakes for the next re-clustering or rank shuffle. */
+    Tick nextWakeTick(Tick now) const override;
     void onEnqueue(const MemRequest &req, Tick now) override;
 
     /** Cores currently in the latency-sensitive cluster (testing). */

@@ -1,8 +1,7 @@
 /**
  * @file
- * Calendar queue of typed events for fixed response latencies (cache
- * hit latency, LLC fill, DRAM burst completion) without per-cycle
- * polling.
+ * Calendar queue of typed events for fixed response latencies (LLC
+ * fill, DRAM burst completion) without per-cycle polling.
  */
 
 #ifndef MITTS_SIM_EVENT_QUEUE_HH
@@ -32,30 +31,18 @@ namespace mitts
  */
 struct EventDesc
 {
-    /** Values are the checkpoint's kind byte (0 is never valid). */
+    /** Values are the checkpoint's kind byte; 0 and 1 are invalid
+     *  (an L1 hit is not an event: the core keeps its ready tick). */
     enum class Kind : std::uint8_t
     {
-        LoadComplete = 1, ///< L1 hit latency -> core loadComplete
-        LlcFill = 2,      ///< LLC -> L1 fill response
-        MemComplete = 3,  ///< DRAM burst done -> MC completion
+        LlcFill = 2,     ///< LLC -> L1 fill response
+        MemComplete = 3, ///< DRAM burst done -> MC completion
     };
-    static constexpr std::uint8_t kFirstKind = 1;
+    static constexpr std::uint8_t kFirstKind = 2;
     static constexpr std::uint8_t kLastKind = 3;
 
-    Kind kind = Kind::LoadComplete;
-    CoreId core = kNoCore; ///< LoadComplete: target core
-    SeqNum seq = 0;        ///< LoadComplete: completing access
-    ReqPtr req;            ///< LlcFill / MemComplete payload
-
-    static EventDesc
-    loadComplete(CoreId core, SeqNum seq)
-    {
-        EventDesc d;
-        d.kind = Kind::LoadComplete;
-        d.core = core;
-        d.seq = seq;
-        return d;
-    }
+    Kind kind = Kind::LlcFill;
+    ReqPtr req; ///< the request being filled / completed
 
     static EventDesc
     llcFill(ReqPtr req)
@@ -90,8 +77,8 @@ class EventHandler
 
     /**
      * Restore-time check of a descriptor read from a checkpoint:
-     * throw ckpt::Error when fire() could not run it (a core or
-     * request the system does not have).
+     * throw ckpt::Error when fire() could not run it (a missing
+     * request, or one for a core the system does not have).
      */
     virtual void validate(const EventDesc &d) const { (void)d; }
 };
@@ -247,8 +234,6 @@ class EventQueue
         for (const auto &[when, d] : ordered) {
             w.u64(when);
             w.u8(static_cast<std::uint8_t>(d->kind));
-            w.i64(d->core);
-            w.u64(d->seq);
             w.request(d->req);
         }
     }
@@ -272,8 +257,6 @@ class EventQueue
             const Tick when = r.u64();
             const std::uint8_t kind = r.u8();
             EventDesc d;
-            d.core = static_cast<CoreId>(r.i64());
-            d.seq = r.u64();
             d.req = r.request();
             if (kind < EventDesc::kFirstKind ||
                 kind > EventDesc::kLastKind)

@@ -90,7 +90,7 @@ System::System(const SystemConfig &cfg) : cfg_(cfg), sim_(cfg_.sim)
 
         l1s_.push_back(std::make_unique<L1Cache>(
             "l1." + std::to_string(c), cfg_.l1,
-            static_cast<CoreId>(c), pool_, sim_.events()));
+            static_cast<CoreId>(c), pool_));
 
         cores_.push_back(std::make_unique<Core>(
             "core." + std::to_string(c), static_cast<CoreId>(c),
@@ -381,9 +381,6 @@ void
 System::fire(const EventDesc &d, Tick when)
 {
     switch (d.kind) {
-      case EventDesc::Kind::LoadComplete:
-        cores_[d.core]->loadComplete(d.seq, when);
-        return;
       case EventDesc::Kind::LlcFill:
         l1s_[d.req->core]->fill(d.req, when);
         return;
@@ -397,10 +394,6 @@ void
 System::validate(const EventDesc &d) const
 {
     switch (d.kind) {
-      case EventDesc::Kind::LoadComplete:
-        if (d.core < 0 || static_cast<unsigned>(d.core) >= numCores_)
-            throw ckpt::Error("event core out of range");
-        return;
       case EventDesc::Kind::LlcFill:
         if (!d.req || d.req->core < 0 ||
             static_cast<unsigned>(d.req->core) >= numCores_)
@@ -565,6 +558,23 @@ System::restoreCheckpoint(const std::string &path)
     for (const auto &l1 : l1s_)
         l1->loadState(r);
     r.endSection();
+
+    // A fill completes every load its MSHR lists; each must still
+    // wait in its core's window, or the fill would abort the run.
+    for (unsigned c = 0; c < numCores_; ++c) {
+        for (const Mshr &m : l1s_[c]->mshrs().entries()) {
+            if (!m.valid)
+                continue;
+            for (SeqNum seq : m.waitingLoads) {
+                if (!cores_[c]->awaitsFill(seq))
+                    throw ckpt::Error(
+                        "L1 " + std::to_string(c) +
+                        " MSHR waits for seq " + std::to_string(seq) +
+                        ", which is not a load waiting in core " +
+                        std::to_string(c) + "'s window");
+            }
+        }
+    }
 
     r.beginSection("llc");
     llc_->loadState(r);

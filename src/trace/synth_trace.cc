@@ -25,18 +25,9 @@ SyntheticTrace::SyntheticTrace(const AppProfile &profile, Addr base_addr,
 void
 SyntheticTrace::reset()
 {
-    rng_ = Random(seed_);
-    inBurst_ = false;
-    burstOps_ = 0;
-    calmOps_ = 0;
-    streamLeft_ = 0;
-    phaseIdx_ = profile_.phases.empty()
-                    ? 0
-                    : threadId_ % profile_.phases.size();
-    opsInPhase_ = 0;
-    streamLeft_ = 0;
-    warmLeft_ = 0;
-    streamBlock_ = randomBlock(profile_.workingSetBytes);
+    // A fresh trace from the same construction arguments: every
+    // cursor (RNG, burst, stream, warm run, phase) restarts together.
+    *this = SyntheticTrace(profile_, base_, seed_, threadId_);
 }
 
 const PhaseSpec &

@@ -203,6 +203,49 @@ TEST(CkptFormat, RejectsOverReadSection)
     EXPECT_THROW(r.u64(), ckpt::Error); // past the payload
 }
 
+// reserve() on an absurd length read from a sealed section throws
+// std::length_error (2^62 u64s) or std::bad_alloc (2^36), neither a
+// ckpt::Error, so every vector reader must reject a length its
+// section cannot hold before reserving.
+TEST(CkptFormat, RejectsVectorLongerThanItsSection)
+{
+    for (const std::uint64_t n : {std::uint64_t{1} << 62,
+                                  std::uint64_t{1} << 36}) {
+        for (int kind = 0; kind < 4; ++kind) {
+            ckpt::Writer w;
+            w.beginSection("v");
+            w.u64(n);
+            w.u64(0); // a few payload bytes, far fewer than n elements
+            w.endSection();
+            ckpt::Reader r(w.finish(0), 0);
+            r.beginSection("v");
+            try {
+                switch (kind) {
+                  case 0: r.vecU32(); break;
+                  case 1: r.vecU64(); break;
+                  case 2: r.vecF64(); break;
+                  default: r.vecBool(); break;
+                }
+                ADD_FAILURE() << "accepted length " << n << " kind "
+                              << kind;
+            } catch (const ckpt::Error &e) {
+                EXPECT_NE(std::string(e.what()).find("declares a vector"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+    // A length that exactly fills the section still reads.
+    ckpt::Writer w;
+    w.beginSection("v");
+    w.vecBool({true, false, true});
+    w.endSection();
+    ckpt::Reader r(w.finish(0), 0);
+    r.beginSection("v");
+    EXPECT_EQ(r.vecBool().size(), 3u);
+    r.endSection();
+}
+
 TEST(CkptFormat, MissingFileThrows)
 {
     EXPECT_THROW(
@@ -261,16 +304,32 @@ TEST(CkptFormat, ConfigHashIgnoresKernelModeAndOutputPaths)
 
 // --- event queue --------------------------------------------------------
 
-/** Records the descriptor seq of every fired event. */
+/** Records the request seq of every fired event. */
 struct SeqRecorder : public EventHandler
 {
     void
     fire(const EventDesc &d, Tick) override
     {
-        fired.push_back(d.seq);
+        fired.push_back(d.req->seq);
     }
     std::vector<SeqNum> fired;
 };
+
+/** Arena the test events' requests (and restored copies) live in. */
+RequestPool &
+eventPool()
+{
+    static RequestPool pool;
+    return pool;
+}
+
+/** A test event identified by `id` (carried as its request's seq). */
+EventDesc
+eventWithId(SeqNum id)
+{
+    return EventDesc::memComplete(
+        eventPool().make(id, 0, MemOp::Read, 0, 0));
+}
 
 /** Save `q`, restore into a fresh queue firing into `into`. */
 std::unique_ptr<EventQueue>
@@ -283,6 +342,7 @@ roundTrip(const EventQueue &q, EventHandler &into)
     auto q2 = std::make_unique<EventQueue>();
     q2->setHandler(&into);
     ckpt::Reader r(w.finish(0), 0);
+    r.bindPool(eventPool());
     r.beginSection("events");
     q2->loadState(r);
     r.endSection();
@@ -294,7 +354,7 @@ TEST(CkptEventQueue, SameTickOrderSurvivesRoundTrip)
     EventQueue q;
     // Three same-tick events plus an earlier one, scheduled out of
     // order; descriptors carry the identity the handler sees.
-    auto desc = [](SeqNum id) { return EventDesc::loadComplete(0, id); };
+    auto desc = eventWithId;
     q.schedule(5, desc(10));
     q.schedule(5, desc(11));
     q.schedule(3, desc(12));
@@ -311,7 +371,7 @@ TEST(CkptEventQueue, FarEventsSurviveRoundTrip)
 {
     // Far events (beyond the calendar window) share ticks with near
     // ones; the restored queue drains exactly like the original.
-    auto desc = [](SeqNum id) { return EventDesc::loadComplete(0, id); };
+    auto desc = eventWithId;
     auto fill = [&](EventQueue &q) {
         const Tick t = 2 * EventQueue::kWindow + 7;
         q.schedule(t, desc(1));
@@ -344,8 +404,7 @@ TEST(CkptEventQueue, FarEventsSurviveRoundTrip)
 
 /** An image whose one section, "events", holds one event. */
 std::string
-oneEventPayload(Tick horizon, Tick when, std::uint8_t kind,
-                CoreId core)
+oneEventPayload(Tick horizon, Tick when, std::uint8_t kind)
 {
     ckpt::Writer w;
     w.beginSection("events");
@@ -353,8 +412,6 @@ oneEventPayload(Tick horizon, Tick when, std::uint8_t kind,
     w.u64(1);
     w.u64(when);
     w.u8(kind);
-    w.i64(core);
-    w.u64(7);
     w.request(ReqPtr{});
     w.endSection();
     return w.finish(0);
@@ -362,12 +419,13 @@ oneEventPayload(Tick horizon, Tick when, std::uint8_t kind,
 
 TEST(CkptEventQueue, OutOfRangeKindByteFailsLoad)
 {
-    for (const std::uint8_t kind : {std::uint8_t{0}, std::uint8_t{4},
-                                    std::uint8_t{255}}) {
+    // Byte 1 names no kind: an L1 hit is not an event.
+    for (const std::uint8_t kind : {std::uint8_t{0}, std::uint8_t{1},
+                                    std::uint8_t{4}, std::uint8_t{255}}) {
         SeqRecorder h;
         EventQueue q;
         q.setHandler(&h);
-        ckpt::Reader r(oneEventPayload(10, 12, kind, 0), 0);
+        ckpt::Reader r(oneEventPayload(10, 12, kind), 0);
         r.beginSection("events");
         EXPECT_THROW(q.loadState(r), ckpt::Error) << int{kind};
         EXPECT_TRUE(q.empty());
@@ -658,13 +716,13 @@ class CkptCorrupt : public ::testing::Test
 
     /** The image with its events section replaced by one event. */
     std::string
-    withOneEvent(std::int64_t when_delta, std::uint8_t kind, CoreId core)
+    withOneEvent(std::int64_t when_delta, std::uint8_t kind)
     {
         return editSection(image_, "events", [&](std::string &p) {
             const Tick horizon = getLe(p, 0, 8);
             const Tick when = static_cast<Tick>(
                 static_cast<std::int64_t>(horizon) + when_delta);
-            p = payloadOf(oneEventPayload(horizon, when, kind, core),
+            p = payloadOf(oneEventPayload(horizon, when, kind),
                           "events");
         });
     }
@@ -685,7 +743,7 @@ TEST_F(CkptCorrupt, UntouchedImageRestores)
 }
 
 // Core 0's window leads the "cores" section: u64 count, then
-// (u64 seq, u8 done, u8 isMem) per entry.
+// (u64 seq, u64 readyAt, u8 isMem) per entry.
 TEST_F(CkptCorrupt, RejectsOverfullCoreWindow)
 {
     expectRejected(editSection(image_, "cores",
@@ -702,11 +760,11 @@ TEST_F(CkptCorrupt, RejectsNonConsecutiveWindowSeqs)
     ASSERT_GE(n, 2u);
     expectRejected(editSection(image_, "cores",
                                [&](std::string &p) {
-                                   putLe(p, 18, getLe(p, 18, 8) + 1, 8);
+                                   putLe(p, 25, getLe(p, 25, 8) + 1, 8);
                                }),
                    "not consecutive");
     // The u64 after the window is nextSeq, which must follow the tail.
-    const std::size_t next_seq = 8 + 10 * n;
+    const std::size_t next_seq = 8 + 17 * n;
     expectRejected(editSection(image_, "cores",
                                [&](std::string &p) {
                                    putLe(p, next_seq,
@@ -715,32 +773,56 @@ TEST_F(CkptCorrupt, RejectsNonConsecutiveWindowSeqs)
                    "does not end at the next seq");
 }
 
-TEST_F(CkptCorrupt, RejectsOutOfRangeEventKind)
+// The "l1s" section opens with L1 0's tag array (u64 sets, u64 assoc,
+// 18 bytes per line, u64 use clock), then its MSHR file: u64 count and
+// per entry u8 valid, u64 block, u8 storeSeen, u64 allocatedAt and the
+// waiting-load seqs as a u64 count plus u64s. A waiter that names no
+// load waiting in core 0's window must fail the restore; accepted, it
+// would abort the run when its fill arrives.
+TEST_F(CkptCorrupt, RejectsMshrWaiterOutsideTheWindow)
 {
-    expectRejected(withOneEvent(5, 0, 0), "event kind 0 out of range");
-    expectRejected(withOneEvent(5, 4, 0), "event kind 4 out of range");
+    const std::string l1s = payloadOf(image_, "l1s");
+    std::size_t off =
+        16 + 18 * getLe(l1s, 0, 8) * getLe(l1s, 8, 8) + 8;
+    const std::size_t entries = getLe(l1s, off, 8);
+    off += 8;
+    std::size_t waiter = 0;
+    for (std::size_t e = 0; e < entries && waiter == 0; ++e) {
+        const bool valid = l1s[off] != 0;
+        const std::size_t waiting = getLe(l1s, off + 18, 8);
+        if (valid && waiting > 0)
+            waiter = off + 26;
+        off += 26 + 8 * waiting;
+    }
+    ASSERT_NE(waiter, 0u) << "core 0 has no load waiting on a fill";
+    expectRejected(editSection(image_, "l1s",
+                               [&](std::string &p) {
+                                   putLe(p, waiter, 999'999'999, 8);
+                               }),
+                   "MSHR waits for seq 999999999");
 }
 
-TEST_F(CkptCorrupt, RejectsLoadCompleteForUnknownCore)
+TEST_F(CkptCorrupt, RejectsOutOfRangeEventKind)
 {
-    expectRejected(withOneEvent(5, 1, 99), "event core out of range");
-    expectRejected(withOneEvent(5, 1, -3), "event core out of range");
+    expectRejected(withOneEvent(5, 0), "event kind 0 out of range");
+    expectRejected(withOneEvent(5, 1), "event kind 1 out of range");
+    expectRejected(withOneEvent(5, 4), "event kind 4 out of range");
 }
 
 TEST_F(CkptCorrupt, RejectsFillWithoutRequest)
 {
-    expectRejected(withOneEvent(5, 2, 0), "fill event request invalid");
+    expectRejected(withOneEvent(5, 2), "fill event request invalid");
 }
 
 TEST_F(CkptCorrupt, RejectsCompletionWithoutRequest)
 {
-    expectRejected(withOneEvent(5, 3, 0),
+    expectRejected(withOneEvent(5, 3),
                    "completion event without request");
 }
 
 TEST_F(CkptCorrupt, RejectsEventBeforeHorizon)
 {
-    expectRejected(withOneEvent(-1, 1, 0), "drain horizon");
+    expectRejected(withOneEvent(-1, 3), "drain horizon");
 }
 
 // The "shapers" section: u64 shaper count, then core 0's shaper,

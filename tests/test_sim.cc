@@ -27,21 +27,37 @@ namespace mitts
 namespace
 {
 
+/** Arena the test events' requests come from. */
+RequestPool &
+testPool()
+{
+    static RequestPool pool;
+    return pool;
+}
+
+/** A test event identified by `id` (carried as its request's seq). */
+EventDesc
+ev(SeqNum id)
+{
+    return EventDesc::memComplete(
+        testPool().make(id, 0, MemOp::Read, 0, 0));
+}
+
 /**
- * Records every fired event as (tick, descriptor seq) and then runs
- * an optional hook, through which a test schedules follow-up events.
+ * Records every fired event as (tick, request seq) and then runs an
+ * optional hook, through which a test schedules follow-up events.
  */
 struct RecordingHandler : public EventHandler
 {
     void
     fire(const EventDesc &d, Tick when) override
     {
-        fired.emplace_back(when, d.seq);
+        fired.emplace_back(when, d.req->seq);
         if (hook)
             hook(d, when);
     }
 
-    /** Descriptor seqs in firing order. */
+    /** Request seqs in firing order. */
     std::vector<SeqNum>
     ids() const
     {
@@ -54,13 +70,6 @@ struct RecordingHandler : public EventHandler
     std::vector<std::pair<Tick, SeqNum>> fired;
     std::function<void(const EventDesc &, Tick)> hook;
 };
-
-/** A test event identified by `id` (carried in the seq field). */
-EventDesc
-ev(SeqNum id)
-{
-    return EventDesc::loadComplete(0, id);
-}
 
 TEST(EventQueue, FiresInTimeOrder)
 {
@@ -110,7 +119,7 @@ TEST(EventQueue, CallbackMaySchedule)
     RecordingHandler h;
     q.setHandler(&h);
     h.hook = [&](const EventDesc &d, Tick) {
-        if (d.seq == 1)
+        if (d.req->seq == 1)
             q.schedule(1, ev(2));
     };
     q.schedule(1, ev(1));
@@ -197,7 +206,7 @@ TEST(EventQueue, SameTickScheduleInsideDrainFiresInSameDrain)
     RecordingHandler h;
     q.setHandler(&h);
     h.hook = [&](const EventDesc &d, Tick) {
-        if (d.seq == 1)
+        if (d.req->seq == 1)
             q.schedule(3, ev(2));
     };
     q.schedule(3, ev(1));
@@ -379,7 +388,7 @@ TEST(EventQueue, MatchesReferenceQueueUnderRandomOperations)
         const auto [want_when, seq, want_id] = ref.top();
         ref.pop();
         ASSERT_EQ(when, want_when);
-        ASSERT_EQ(d.seq, want_id);
+        ASSERT_EQ(d.req->seq, want_id);
         // Follow-ups at or after the drain horizon, often this tick.
         if (follow_ups && rng.below(4) == 0)
             add(horizon + (rng.below(3) == 0 ? 0 : offset()));
@@ -402,6 +411,7 @@ TEST(EventQueue, MatchesReferenceQueueUnderRandomOperations)
             q->saveState(w);
             w.endSection();
             ckpt::Reader rd(w.finish(0), 0);
+            rd.bindPool(testPool());
             rd.beginSection("events");
             q = std::make_unique<EventQueue>();
             q->setHandler(&handler);
@@ -721,6 +731,35 @@ TEST(SkipAhead, RollingShaperStatsAreBitIdentical)
     cfg.binSpec.policy = ReplenishPolicy::Rolling;
     for (auto &c : cfg.mittsConfigs)
         c.spec.policy = ReplenishPolicy::Rolling;
+    expectSkipInvariant(cfg, 60'000);
+}
+
+// ATLAS, TCM and MISE act only at deadlines (quanta, rank shuffles,
+// estimator epochs, re-prioritizations), so each claims its next one
+// and the memory controller sleeps in between instead of ticking
+// every cycle.
+TEST(SkipAhead, AtlasStatsAreBitIdentical)
+{
+    SystemConfig cfg = throttledMix();
+    cfg.sched = SchedulerKind::Atlas;
+    cfg.atlas.quantum = 10'000; // several re-rankings
+    expectSkipInvariant(cfg, 60'000);
+}
+
+TEST(SkipAhead, TcmStatsAreBitIdentical)
+{
+    SystemConfig cfg = throttledMix();
+    cfg.sched = SchedulerKind::Tcm;
+    cfg.tcm.quantum = 10'000; // several re-clusterings and shuffles
+    expectSkipInvariant(cfg, 60'000);
+}
+
+TEST(SkipAhead, MiseStatsAreBitIdentical)
+{
+    SystemConfig cfg = throttledMix();
+    cfg.sched = SchedulerKind::Mise;
+    cfg.mise.epochLength = 2'000;
+    cfg.mise.intervalLength = 10'000; // several re-prioritizations
     expectSkipInvariant(cfg, 60'000);
 }
 

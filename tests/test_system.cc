@@ -15,6 +15,7 @@
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "system/system.hh"
+#include "trace/synth_trace.hh"
 
 namespace mitts
 {
@@ -345,6 +346,31 @@ TEST(System, HybridMethodSelectable)
     System sys(cfg);
     EXPECT_EQ(sys.shaper(0)->method(),
               HybridMethod::SpeculativeTimestamp);
+}
+
+// An L1-hit load carries its ready tick in the core's window, so a
+// core whose every load hits leaves the event queue empty; only LLC
+// fills and DRAM completions are events.
+TEST(System, L1HitsQueueNoEvent)
+{
+    SystemConfig cfg = SystemConfig::singleProgram("gcc");
+    cfg.traceFactory = [](CoreId, unsigned, const AppProfile &,
+                          Addr base, std::uint64_t, unsigned)
+        -> std::unique_ptr<TraceSource> {
+        return std::make_unique<ScriptedTrace>(
+            std::vector<TraceOp>{{0, false, false, base}});
+    };
+    System sys(cfg);
+    sys.run(2'000); // the first access misses; its fill lands
+    ASSERT_TRUE(sys.sim().events().empty());
+    const std::uint64_t hits = sys.l1(0).hits();
+    const std::uint64_t instr = sys.core(0).instructions();
+    for (int i = 0; i < 100; ++i) {
+        sys.sim().step();
+        ASSERT_TRUE(sys.sim().events().empty()) << "cycle " << i;
+    }
+    EXPECT_GT(sys.l1(0).hits(), hits);
+    EXPECT_GT(sys.core(0).instructions(), instr + 100);
 }
 
 } // namespace
