@@ -1,8 +1,10 @@
 #include "ckpt/serialize.hh"
 
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "base/stats.hh"
@@ -12,23 +14,13 @@ namespace mitts::ckpt
 
 const char kMagic[8] = {'M', 'I', 'T', 'T', 'S', 'C', 'K', 'P'};
 
-std::uint32_t
-crc32(const void *data, std::size_t len, std::uint32_t crc)
-{
-    // Table-free bitwise CRC-32 (reflected 0xEDB88320). Checkpoint
-    // I/O is not on the simulation fast path.
-    const auto *p = static_cast<const unsigned char *>(data);
-    crc = ~crc;
-    for (std::size_t i = 0; i < len; ++i) {
-        crc ^= p[i];
-        for (int k = 0; k < 8; ++k)
-            crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-    }
-    return ~crc;
-}
-
 namespace
 {
+
+// Header field offsets: magic, u32 version, u64 config hash, u32
+// section count.
+constexpr std::size_t kHashAt = sizeof(kMagic) + 4;
+constexpr std::size_t kCountAt = kHashAt + 8;
 
 void
 putU32(std::string &out, std::uint32_t v)
@@ -48,39 +40,105 @@ putU64(std::string &out, std::uint64_t v)
     out.append(buf, 8);
 }
 
-std::uint32_t
-getU32(const char *p)
+void
+setU32(std::string &s, std::size_t off, std::uint32_t v)
 {
+    for (int i = 0; i < 4; ++i)
+        s[off + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+
+void
+setU64(std::string &s, std::size_t off, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        s[off + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+
+std::uint32_t
+getU32(const void *data)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
     std::uint32_t v = 0;
     for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(p[i]))
-             << (8 * i);
+        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
     return v;
 }
 
 std::uint64_t
-getU64(const char *p)
+getU64(const void *data)
 {
+    const auto *p = static_cast<const unsigned char *>(data);
     std::uint64_t v = 0;
     for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(p[i]))
-             << (8 * i);
+        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
     return v;
 }
 
+/** Slicing-by-8 tables for the reflected polynomial 0xEDB88320:
+ *  kCrcTables[0] is the classic byte table, and kCrcTables[k][b] is
+ *  the CRC of byte b followed by k zero bytes. */
+constexpr std::array<std::array<std::uint32_t, 256>, 8>
+makeCrcTables()
+{
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
+    for (std::uint32_t b = 0; b < 256; ++b) {
+        std::uint32_t c = b;
+        for (int k = 0; k < 8; ++k)
+            c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+        t[0][b] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k)
+        for (std::uint32_t b = 0; b < 256; ++b)
+            t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xFF];
+    return t;
+}
+
+constexpr auto kCrcTables = makeCrcTables();
+
 } // namespace
 
+std::uint32_t
+crc32(const void *data, std::size_t len, std::uint32_t crc)
+{
+    // Slicing-by-8: fold eight input bytes per step through eight
+    // table lookups. Same values as the bitwise zlib CRC-32.
+    const auto &t = kCrcTables;
+    const auto *p = static_cast<const unsigned char *>(data);
+    crc = ~crc;
+    for (; len >= 8; p += 8, len -= 8) {
+        const std::uint32_t lo = crc ^ getU32(p);
+        crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+              t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+              t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+    }
+    for (; len > 0; ++p, --len)
+        crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFF];
+    return ~crc;
+}
+
 // ---------------------------------------------------------------- Writer
+
+Writer::Writer()
+{
+    // The config hash and section count are patched in by finish().
+    image_.append(kMagic, sizeof(kMagic));
+    putU32(image_, kFormatVersion);
+    putU64(image_, 0);
+    putU32(image_, 0);
+}
+
+std::string &
+Writer::sink()
+{
+    if (!open_)
+        throw Error("checkpoint write outside a section");
+    return image_;
+}
 
 void
 Writer::raw(const void *data, std::size_t len)
 {
-    if (!open_)
-        throw Error("checkpoint write outside a section");
-    sections_.back().second.append(
-        static_cast<const char *>(data), len);
+    sink().append(static_cast<const char *>(data), len);
 }
 
 void
@@ -88,10 +146,14 @@ Writer::beginSection(const std::string &name)
 {
     if (open_)
         throw Error("checkpoint section '" + name +
-                    "' opened inside '" + sections_.back().first +
-                    "'");
-    sections_.emplace_back(name, std::string());
+                    "' opened inside '" + openName_ + "'");
+    putU32(image_, static_cast<std::uint32_t>(name.size()));
+    image_ += name;
+    putU64(image_, 0); // payload length, patched by endSection()
+    payloadAt_ = image_.size();
+    openName_ = name;
     open_ = true;
+    ++numSections_;
 }
 
 void
@@ -99,23 +161,22 @@ Writer::endSection()
 {
     if (!open_)
         throw Error("endSection without an open section");
+    const std::size_t len = image_.size() - payloadAt_;
+    setU64(image_, payloadAt_ - 8, len);
+    putU32(image_, crc32(image_.data() + payloadAt_, len));
     open_ = false;
 }
 
 void
 Writer::u32(std::uint32_t v)
 {
-    std::string tmp;
-    putU32(tmp, v);
-    raw(tmp.data(), tmp.size());
+    putU32(sink(), v);
 }
 
 void
 Writer::u64(std::uint64_t v)
 {
-    std::string tmp;
-    putU64(tmp, v);
-    raw(tmp.data(), tmp.size());
+    putU64(sink(), v);
 }
 
 void
@@ -200,30 +261,21 @@ Writer::request(const ReqPtr &req)
 }
 
 std::string
-Writer::finish(std::uint64_t config_hash) const
+Writer::finish(std::uint64_t config_hash)
 {
     if (open_)
-        throw Error("finish() with section '" +
-                    sections_.back().first + "' still open");
-    std::string out;
-    out.append(kMagic, sizeof(kMagic));
-    putU32(out, kFormatVersion);
-    putU64(out, config_hash);
-    putU32(out, static_cast<std::uint32_t>(sections_.size()));
-    for (const auto &[name, payload] : sections_) {
-        putU32(out, static_cast<std::uint32_t>(name.size()));
-        out.append(name);
-        putU64(out, payload.size());
-        out.append(payload);
-        putU32(out, crc32(payload.data(), payload.size()));
-    }
+        throw Error("finish() with section '" + openName_ +
+                    "' still open");
+    std::string out = std::move(image_);
+    setU64(out, kHashAt, config_hash);
+    setU32(out, kCountAt, numSections_);
     putU32(out, crc32(out.data(), out.size()));
+    *this = Writer();
     return out;
 }
 
 void
-Writer::writeFile(const std::string &path,
-                  std::uint64_t config_hash) const
+Writer::writeFile(const std::string &path, std::uint64_t config_hash)
 {
     const std::string image = finish(config_hash);
     const std::string tmp = path + ".tmp";
@@ -308,11 +360,22 @@ Reader
 Reader::fromFile(const std::string &path,
                  std::uint64_t expected_config_hash)
 {
-    std::ifstream is(path, std::ios::binary);
+    // Only a regular file has a meaningful size: opened with `ate`, a
+    // directory reports a size of 2^63 - 1 on ext4.
+    std::error_code ec;
+    const auto st = std::filesystem::status(path, ec);
+    if (std::filesystem::exists(st) &&
+        !std::filesystem::is_regular_file(st))
+        throw Error("checkpoint '" + path + "' is not a regular file");
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
     if (!is)
         throw Error("cannot open checkpoint '" + path + "'");
-    std::string data((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
+    const std::streamoff size = is.tellg();
+    if (size < 0 || !is.seekg(0))
+        throw Error("cannot read checkpoint '" + path + "'");
+    std::string data(static_cast<std::size_t>(size), '\0');
+    if (!is.read(data.data(), size))
+        throw Error("short read from checkpoint '" + path + "'");
     return Reader(std::move(data), expected_config_hash);
 }
 

@@ -85,10 +85,13 @@ class Serializable
     virtual void loadState(Reader &r) = 0;
 };
 
-/** Serializer: accumulates sections in memory, then finalizes. */
+/** Serializer: encodes each section in place in one image buffer,
+ *  then seals it. */
 class Writer
 {
   public:
+    Writer();
+
     /** Open a new section; sections cannot nest. */
     void beginSection(const std::string &name);
     void endSection();
@@ -113,17 +116,25 @@ class Writer
      */
     void request(const ReqPtr &req);
 
-    /** Assemble the final byte stream (header + sections + CRC). */
-    std::string finish(std::uint64_t config_hash) const;
+    /** Seal the image (config hash, section count, file CRC) and
+     *  hand it over; the Writer is left empty. */
+    std::string finish(std::uint64_t config_hash);
 
     /** finish() to `path` via write-to-temp + atomic rename. */
-    void writeFile(const std::string &path,
-                   std::uint64_t config_hash) const;
+    void writeFile(const std::string &path, std::uint64_t config_hash);
 
   private:
+    /** The buffer the open section appends to; throws Error when no
+     *  section is open. */
+    std::string &sink();
     void raw(const void *data, std::size_t len);
 
-    std::vector<std::pair<std::string, std::string>> sections_;
+    /** Header, then each section's record as it is written: sections
+     *  are encoded in place, closed with their length and CRC. */
+    std::string image_;
+    std::string openName_;
+    std::size_t payloadAt_ = 0; ///< open section's payload offset
+    std::uint32_t numSections_ = 0;
     bool open_ = false;
     // Positional interning: ids are assigned in serialization order.
     // Indexed by RequestPool slot (stable for a live request); a
@@ -139,7 +150,8 @@ class Reader
     /** Parse and validate an in-memory image (header, CRCs, hash). */
     Reader(std::string data, std::uint64_t expected_config_hash);
 
-    /** Read `path` and validate. Throws Error on any problem. */
+    /** Read `path` (a regular file, in one sized read) and validate.
+     *  Throws Error on any problem. */
     static Reader fromFile(const std::string &path,
                            std::uint64_t expected_config_hash);
 

@@ -596,6 +596,17 @@ CloudEngine::restoreCheckpoint(const std::string &dir)
     now_ = r.u64();
     nextArrival_ = r.u64();
     r.endSection();
+    // Every socket runs every window, so images from one save share
+    // the datacenter's cycle; a mismatch means a mixed directory.
+    for (unsigned si = 0; si < sockets_.size(); ++si) {
+        const Tick at = sockets_[si]->sys->sim().now();
+        if (at != now_)
+            throw ckpt::Error("socket " + std::to_string(si) +
+                              " image is at cycle " +
+                              std::to_string(at) +
+                              ", the datacenter at " +
+                              std::to_string(now_));
+    }
 
     r.beginSection("slots");
     for (auto &S : sockets_) {

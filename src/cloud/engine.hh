@@ -142,8 +142,9 @@ class CloudEngine
     /** Write socketN.mitts + cloud.mitts under `dir` (created). */
     void saveCheckpoint(const std::string &dir);
     /** Restore into a freshly constructed engine (same scenario —
-     *  scenarioHash is verified; throws ckpt::Error / ScenarioError
-     *  on mismatch). */
+     *  scenarioHash is verified, and every socket image must be at
+     *  the datacenter's cycle; throws ckpt::Error / ScenarioError on
+     *  mismatch). */
     void restoreCheckpoint(const std::string &dir);
 
   private:

@@ -52,6 +52,13 @@ expect_exit 2 "$SIM" --apps gcc --checkpoint-every 100   # no out dir
 expect_exit 2 "$SIM" --apps gcc --restore "$WORK/absent.mitts"
 one_line_stderr
 
+# A directory is not a checkpoint (reading one used to abort).
+mkdir -p "$WORK/adir"
+expect_exit 2 "$SIM" --apps mcf,gcc --cycles 1000 --restore "$WORK/adir"
+one_line_stderr
+grep -q "not a regular file" "$WORK/err" \
+    || fail "directory reason not surfaced"
+
 printf 'NOTMITTS_and_then_some_padding_to_look_like_a_file' \
     > "$WORK/badmagic.mitts"
 expect_exit 2 "$SIM" --apps gcc --restore "$WORK/badmagic.mitts"

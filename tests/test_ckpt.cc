@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "base/random.hh"
 #include "ckpt/config_hash.hh"
 #include "ckpt/serialize.hh"
 #include "sim/event_queue.hh"
@@ -31,6 +32,75 @@ std::string
 tmpPath(const std::string &name)
 {
     return (std::filesystem::temp_directory_path() / name).string();
+}
+
+// --- CRC-32 -------------------------------------------------------------
+
+/** The bitwise CRC-32 (reflected 0xEDB88320, zlib convention): the
+ *  reference the table-driven ckpt::crc32 must reproduce. */
+std::uint32_t
+bitwiseCrc32(const unsigned char *p, std::size_t len)
+{
+    std::uint32_t crc = ~0u;
+    for (std::size_t i = 0; i < len; ++i) {
+        crc ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+    return ~crc;
+}
+
+std::vector<unsigned char>
+randomBytes(std::size_t n, std::uint64_t seed)
+{
+    Random rng(seed);
+    std::vector<unsigned char> v(n);
+    for (auto &b : v)
+        b = static_cast<unsigned char>(rng.next());
+    return v;
+}
+
+TEST(CkptCrc32, KnownAnswers)
+{
+    EXPECT_EQ(ckpt::crc32("", 0), 0u);
+    EXPECT_EQ(ckpt::crc32("123456789", 9), 0xCBF43926u);
+    std::vector<unsigned char> ramp(32);
+    for (std::size_t i = 0; i < ramp.size(); ++i)
+        ramp[i] = static_cast<unsigned char>(i);
+    const std::vector<unsigned char> zeros(32, 0x00), ones(32, 0xFF);
+    EXPECT_EQ(ckpt::crc32(zeros.data(), zeros.size()), 0x190A55ADu);
+    EXPECT_EQ(ckpt::crc32(ones.data(), ones.size()), 0xFF6CAB0Bu);
+    EXPECT_EQ(ckpt::crc32(ramp.data(), ramp.size()), 0x91267E8Au);
+}
+
+TEST(CkptCrc32, ContinuesAcrossCalls)
+{
+    EXPECT_EQ(ckpt::crc32("456789", 6, ckpt::crc32("123", 3)),
+              0xCBF43926u);
+}
+
+TEST(CkptCrc32, MatchesBitwiseReference)
+{
+    // Every length up to 1 KiB at every alignment within a word.
+    const auto buf = randomBytes(1'024 + 8, 0xC4C32);
+    for (std::size_t off = 0; off < 8; ++off)
+        for (std::size_t len = 0; len <= 1'024; ++len)
+            ASSERT_EQ(ckpt::crc32(buf.data() + off, len),
+                      bitwiseCrc32(buf.data() + off, len))
+                << "offset " << off << " length " << len;
+
+    // Every split point of a continued computation.
+    const auto small = randomBytes(100, 0x5EED);
+    const std::uint32_t whole = bitwiseCrc32(small.data(), small.size());
+    for (std::size_t cut = 0; cut <= small.size(); ++cut)
+        ASSERT_EQ(ckpt::crc32(small.data() + cut, small.size() - cut,
+                              ckpt::crc32(small.data(), cut)),
+                  whole)
+            << "split at " << cut;
+
+    const auto big = randomBytes(4u << 20, 0xB16);
+    EXPECT_EQ(ckpt::crc32(big.data(), big.size()),
+              bitwiseCrc32(big.data(), big.size()));
 }
 
 // --- format primitives --------------------------------------------------
@@ -251,6 +321,21 @@ TEST(CkptFormat, MissingFileThrows)
     EXPECT_THROW(
         ckpt::Reader::fromFile(tmpPath("no_such_ckpt.mitts"), 0),
         ckpt::Error);
+}
+
+TEST(CkptFormat, DirectoryIsNotACheckpoint)
+{
+    const std::string dir = tmpPath("mitts_ckpt_dir_test");
+    std::filesystem::create_directories(dir);
+    try {
+        ckpt::Reader::fromFile(dir, 0);
+        ADD_FAILURE() << "a directory was read as a checkpoint";
+    } catch (const ckpt::Error &e) {
+        EXPECT_NE(std::string(e.what()).find("not a regular file"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(CkptFormat, WriteFileIsAtomicAndReadable)
@@ -854,6 +939,31 @@ TEST_F(CkptCorrupt, RejectsShaperUnknownReplenishPolicy)
 TEST_F(CkptCorrupt, RejectsShaperWithMoreThan64Bins)
 {
     expectRejected(withShaperField(8, 8, 65), "65 bins (want 1..64)");
+}
+
+// Restore then save at once must reproduce the image byte for byte:
+// every field the codec writes, it reads back unchanged.
+TEST(CkptSystem, ResaveAfterRestoreIsByteIdentical)
+{
+    SystemConfig cfg = ckptConfig();
+    cfg.sched = SchedulerKind::Tcm;
+    const std::string first = tmpPath("mitts_resave_a.ckpt");
+    const std::string second = tmpPath("mitts_resave_b.ckpt");
+
+    System a(cfg);
+    a.runUntilInstructions(20'000, 4'096);
+    a.saveCheckpoint(first);
+
+    System b(cfg);
+    b.restoreCheckpoint(first);
+    b.saveCheckpoint(second);
+
+    const std::string img = readFile(first);
+    ASSERT_GT(img.size(), 64u);
+    EXPECT_TRUE(img == readFile(second))
+        << "re-saved image differs from the one it was restored from";
+    std::filesystem::remove(first);
+    std::filesystem::remove(second);
 }
 
 TEST(CkptSystem, CheckpointExtrasRideAlong)

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -691,6 +693,79 @@ TEST(CloudEngineTest, RestoreRefusesMismatchedScenario)
     EXPECT_THROW(wrong.restoreCheckpoint(dir), ckpt::Error);
 
     fs::remove_all(dir);
+}
+
+// A directory mixing socket images from two saves (say, an interrupted
+// save over an older one) must not restore: every socket runs every
+// window, so a valid image is at the datacenter's cycle.
+TEST(CloudEngineTest, RestoreRefusesSocketImageFromAnotherSave)
+{
+    namespace fs = std::filesystem;
+    const fs::path tmp = fs::temp_directory_path();
+    const std::string early = (tmp / "mitts_cloud_ckpt_early").string();
+    const std::string late = (tmp / "mitts_cloud_ckpt_late").string();
+    fs::remove_all(early);
+    fs::remove_all(late);
+
+    CloudEngine saver(smallScenario());
+    saver.runUntil(20'000);
+    saver.saveCheckpoint(early);
+    saver.runUntil(40'000);
+    saver.saveCheckpoint(late);
+    fs::copy_file(early + "/socket0.mitts", late + "/socket0.mitts",
+                  fs::copy_options::overwrite_existing);
+
+    CloudEngine mixed(smallScenario());
+    try {
+        mixed.restoreCheckpoint(late);
+        ADD_FAILURE() << "restored a socket image from another save";
+    } catch (const ckpt::Error &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "socket 0 image is at cycle 20000, the datacenter "
+                  "at 40000");
+    }
+
+    fs::remove_all(early);
+    fs::remove_all(late);
+}
+
+// Restore then save at once must reproduce every image byte for byte.
+TEST(CloudEngineTest, ResaveAfterRestoreIsByteIdentical)
+{
+    namespace fs = std::filesystem;
+    const ScenarioConfig sc = cloud::parseScenarioFile(
+        std::string(MITTS_REPO_ROOT) + "/scenarios/ci-small.scn");
+    const fs::path tmp = fs::temp_directory_path();
+    const fs::path first = tmp / "mitts_cloud_resave_a";
+    const fs::path second = tmp / "mitts_cloud_resave_b";
+    fs::remove_all(first);
+    fs::remove_all(second);
+
+    CloudEngine saver(sc);
+    saver.runUntil(50'000);
+    saver.saveCheckpoint(first.string());
+
+    CloudEngine resaver(sc);
+    resaver.restoreCheckpoint(first.string());
+    resaver.saveCheckpoint(second.string());
+
+    auto images = [](const fs::path &dir) {
+        std::map<std::string, std::string> m;
+        for (const auto &e : fs::directory_iterator(dir)) {
+            std::ifstream in(e.path(), std::ios::binary);
+            std::ostringstream buf;
+            buf << in.rdbuf();
+            m[e.path().filename().string()] = buf.str();
+        }
+        return m;
+    };
+    const auto a = images(first);
+    EXPECT_EQ(a.size(), sc.sockets + 1u); // socketN.mitts + cloud.mitts
+    EXPECT_TRUE(a == images(second))
+        << "an image differs after restore and re-save";
+
+    fs::remove_all(first);
+    fs::remove_all(second);
 }
 
 } // namespace
