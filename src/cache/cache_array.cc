@@ -80,31 +80,21 @@ CacheArray::insert(Addr block_addr, bool dirty)
 }
 
 void
-CacheArray::saveState(ckpt::Writer &w) const
+CacheArray::checkpoint(ckpt::Archive &a)
 {
-    w.u64(numSets());
-    w.u64(assoc_);
-    for (const auto &line : lines_) {
-        w.b(line.valid);
-        w.b(line.dirty);
-        w.u64(line.tag);
-        w.u64(line.lastUse);
-    }
-    w.u64(useClock_);
-}
-
-void
-CacheArray::loadState(ckpt::Reader &r)
-{
-    if (r.u64() != numSets() || r.u64() != assoc_)
-        throw ckpt::Error("cache array geometry mismatch");
+    a.expect(numSets(), "cache array geometry mismatch");
+    a.expect(assoc_, "cache array geometry mismatch");
+    // The tag walk is the longest loop of every image. Through a local
+    // copy of the archive the compiler can see the direction does not
+    // change inside the loop and test it once, before the loop.
+    ckpt::Archive tags = a;
     for (auto &line : lines_) {
-        line.valid = r.b();
-        line.dirty = r.b();
-        line.tag = r.u64();
-        line.lastUse = r.u64();
+        tags.b(line.valid);
+        tags.b(line.dirty);
+        tags.u64(line.tag);
+        tags.u64(line.lastUse);
     }
-    useClock_ = r.u64();
+    a.u64(useClock_);
 }
 
 } // namespace mitts

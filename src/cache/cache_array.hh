@@ -85,8 +85,7 @@ class CacheArray
     }
 
     /** Checkpoint every tag/LRU bit (geometry is construction-time). */
-    void saveState(ckpt::Writer &w) const;
-    void loadState(ckpt::Reader &r);
+    void checkpoint(ckpt::Archive &a);
 
   private:
     struct Line

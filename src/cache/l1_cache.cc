@@ -150,35 +150,14 @@ L1Cache::fill(const ReqPtr &req, Tick now)
 }
 
 void
-L1Cache::saveState(ckpt::Writer &w) const
+L1Cache::checkpoint(ckpt::Archive &a)
 {
-    array_.saveState(w);
-    mshrs_.saveState(w);
-    w.u64(sendQueue_.size());
-    for (const auto &r : sendQueue_)
-        w.request(r);
-    w.u64(writebackQueue_.size());
-    for (const auto &r : writebackQueue_)
-        w.request(r);
-    w.u64(nextWbSeq_);
-    ckpt::saveGroup(w, stats_);
-}
-
-void
-L1Cache::loadState(ckpt::Reader &r)
-{
-    array_.loadState(r);
-    mshrs_.loadState(r);
-    sendQueue_.clear();
-    const std::uint64_t ns = r.u64();
-    for (std::uint64_t i = 0; i < ns; ++i)
-        sendQueue_.push_back(r.request());
-    writebackQueue_.clear();
-    const std::uint64_t nw = r.u64();
-    for (std::uint64_t i = 0; i < nw; ++i)
-        writebackQueue_.push_back(r.request());
-    nextWbSeq_ = r.u64();
-    ckpt::loadGroup(r, stats_);
+    array_.checkpoint(a);
+    mshrs_.checkpoint(a);
+    a.seq(sendQueue_, [&](ReqPtr &r) { a.request(r); });
+    a.seq(writebackQueue_, [&](ReqPtr &r) { a.request(r); });
+    a.u64(nextWbSeq_);
+    a.group(stats_);
 }
 
 void

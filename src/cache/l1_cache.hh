@@ -95,9 +95,9 @@ class L1Cache : public Clocked, public ckpt::Serializable
     /** Demand misses waiting for the gate (head blocks the rest). */
     std::size_t pendingSends() const { return sendQueue_.size(); }
 
+  protected:
     /** Checkpoint tags, MSHRs, send/writeback queues and stats. */
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+    void checkpoint(ckpt::Archive &a) override;
 
   private:
     void sendWriteback(Addr block_addr, Tick now);

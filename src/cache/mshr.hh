@@ -106,29 +106,15 @@ class MshrFile
     const std::vector<Mshr> &entries() const { return entries_; }
 
     void
-    saveState(ckpt::Writer &w) const
+    checkpoint(ckpt::Archive &a)
     {
-        w.u64(entries_.size());
-        for (const auto &m : entries_) {
-            w.b(m.valid);
-            w.u64(m.blockAddr);
-            w.b(m.storeSeen);
-            w.u64(m.allocatedAt);
-            w.vecU64(m.waitingLoads);
-        }
-    }
-
-    void
-    loadState(ckpt::Reader &r)
-    {
-        if (r.u64() != entries_.size())
-            throw ckpt::Error("MSHR entry count mismatch");
+        a.expect(entries_.size(), "MSHR entry count mismatch");
         for (auto &m : entries_) {
-            m.valid = r.b();
-            m.blockAddr = r.u64();
-            m.storeSeen = r.b();
-            m.allocatedAt = r.u64();
-            m.waitingLoads = r.vecU64();
+            a.b(m.valid);
+            a.u64(m.blockAddr);
+            a.b(m.storeSeen);
+            a.u64(m.allocatedAt);
+            a.vecU64(m.waitingLoads);
         }
     }
 

@@ -250,75 +250,29 @@ SharedLlc::respondToL1(const ReqPtr &req, Tick delay, Tick now)
 }
 
 void
-SharedLlc::saveState(ckpt::Writer &w) const
+SharedLlc::checkpoint(ckpt::Archive &a)
 {
-    array_.saveState(w);
-    w.u64(banks_.size());
-    for (const auto &bank : banks_) {
-        w.u64(bank.queue.size());
-        for (const auto &e : bank.queue) {
-            w.request(e.req);
-            w.u64(e.readyAt);
-        }
-    }
-    // unordered_map iteration order is not deterministic; serialize
-    // sorted by block address.
-    std::vector<Addr> blocks;
-    blocks.reserve(missMap_.size());
-    for (const auto &[block, waiters] : missMap_)
-        blocks.push_back(block);
-    std::sort(blocks.begin(), blocks.end());
-    w.u64(blocks.size());
-    for (Addr block : blocks) {
-        w.u64(block);
-        const auto &waiters = missMap_.at(block);
-        w.u64(waiters.size());
-        for (const auto &r : waiters)
-            w.request(r);
-    }
-    w.u64(wbQueue_.size());
-    for (const auto &r : wbQueue_)
-        w.request(r);
-    w.u64(nextWbSeq_);
-    w.vecU64(lastMissAt_);
-    ckpt::saveGroup(w, stats_);
-}
-
-void
-SharedLlc::loadState(ckpt::Reader &r)
-{
-    array_.loadState(r);
-    if (r.u64() != banks_.size())
-        throw ckpt::Error("LLC bank count mismatch");
-    queued_ = 0;
+    array_.checkpoint(a);
+    a.expect(banks_.size(), "LLC bank count mismatch");
     for (auto &bank : banks_) {
-        bank.queue.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            ReqPtr req = r.request();
-            const Tick ready = r.u64();
-            bank.queue.push_back(BankEntry{std::move(req), ready});
-        }
-        queued_ += bank.queue.size();
+        a.seq(bank.queue, [&](BankEntry &e) {
+            a.request(e.req);
+            a.u64(e.readyAt);
+        });
     }
-    missMap_.clear();
-    const std::uint64_t nm = r.u64();
-    for (std::uint64_t i = 0; i < nm; ++i) {
-        const Addr block = r.u64();
-        auto &waiters = missMap_[block];
-        const std::uint64_t nw = r.u64();
-        for (std::uint64_t j = 0; j < nw; ++j)
-            waiters.push_back(r.request());
+    if (!a.saving()) {
+        queued_ = 0;
+        for (const auto &bank : banks_)
+            queued_ += bank.queue.size();
     }
-    wbQueue_.clear();
-    const std::uint64_t nb = r.u64();
-    for (std::uint64_t i = 0; i < nb; ++i)
-        wbQueue_.push_back(r.request());
-    nextWbSeq_ = r.u64();
-    lastMissAt_ = r.vecU64();
-    if (lastMissAt_.size() != l1s_.size())
-        throw ckpt::Error("LLC core count mismatch");
-    ckpt::loadGroup(r, stats_);
+    a.sortedMap(missMap_, [&](std::vector<ReqPtr> &waiters) {
+        a.seq(waiters, [&](ReqPtr &r) { a.request(r); });
+    });
+    a.seq(wbQueue_, [&](ReqPtr &r) { a.request(r); });
+    a.u64(nextWbSeq_);
+    a.vecU64(lastMissAt_);
+    a.check(lastMissAt_.size() == l1s_.size(), "LLC core count mismatch");
+    a.group(stats_);
 }
 
 void

@@ -101,9 +101,9 @@ class SharedLlc : public Clocked, public MemSink,
         return *missHist_.at(c);
     }
 
+  protected:
     /** Checkpoint tags, bank queues, miss map, writebacks, stats. */
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+    void checkpoint(ckpt::Archive &a) override;
 
   private:
     struct BankEntry
@@ -132,8 +132,7 @@ class SharedLlc : public Clocked, public MemSink,
     CacheArray array_;
     std::vector<Bank> banks_;
     /** Entries across all bank queues; tick() and nextWakeTick() skip
-     *  the bank scan when it is zero. */
-    // detlint-transient(sum of the bank queue sizes; recounted on load)
+     *  the bank scan when it is zero. Recounted on restore. */
     std::size_t queued_ = 0;
     std::vector<L1Cache *> l1s_;
     std::vector<SourceGate *> gates_;

@@ -542,37 +542,20 @@ Reader::request()
     return r;
 }
 
-// ------------------------------------------------------------- stats I/O
+// ------------------------------------------------------------ Archive
 
 void
-saveGroup(Writer &w, const stats::Group &g)
+Serializable::saveState(Writer &w) const
 {
-    w.str(g.name());
-    w.u64(g.counters().size());
-    for (const auto &c : g.counters()) {
-        w.str(c->name());
-        w.u64(c->value());
-    }
-    w.u64(g.averages().size());
-    for (const auto &a : g.averages()) {
-        w.str(a->name());
-        w.f64(a->sum());
-        w.u64(a->count());
-        w.f64(a->min());
-        w.f64(a->max());
-    }
-    w.u64(g.histograms().size());
-    for (const auto &h : g.histograms()) {
-        w.str(h->name());
-        std::vector<std::uint64_t> bins(h->numBins());
-        for (std::size_t i = 0; i < bins.size(); ++i)
-            bins[i] = h->bin(i);
-        w.vecU64(bins);
-        w.u64(h->underflow());
-        w.u64(h->overflow());
-        w.u64(h->total());
-        w.f64(h->sum());
-    }
+    Archive a(w);
+    const_cast<Serializable *>(this)->checkpoint(a);
+}
+
+void
+Serializable::loadState(Reader &r)
+{
+    Archive a(r);
+    checkpoint(a);
 }
 
 namespace
@@ -591,41 +574,70 @@ checkName(const std::string &want, const std::string &got,
 } // namespace
 
 void
-loadGroup(Reader &r, stats::Group &g)
+Archive::name(const std::string &want, const char *what)
 {
-    checkName(g.name(), r.str(), "group");
-    if (r.u64() != g.counters().size())
-        throw Error("stats group '" + g.name() +
-                    "': counter count mismatch");
+    if (saving())
+        w_->str(want);
+    else
+        checkName(want, r_->str(), what);
+}
+
+void
+Archive::group(stats::Group &g)
+{
+    name(g.name(), "group");
+    auto count = [&](std::uint64_t n, const char *what) {
+        std::uint64_t got = n;
+        u64(got);
+        if (got != n)
+            throw Error("stats group '" + g.name() + "': " + what +
+                        " count mismatch");
+    };
+
+    count(g.counters().size(), "counter");
     for (const auto &c : g.counters()) {
-        checkName(c->name(), r.str(), "counter");
-        c->restore(r.u64());
+        name(c->name(), "counter");
+        std::uint64_t v = c->value();
+        u64(v);
+        if (!saving())
+            c->restore(v);
     }
-    if (r.u64() != g.averages().size())
-        throw Error("stats group '" + g.name() +
-                    "': average count mismatch");
-    for (const auto &a : g.averages()) {
-        checkName(a->name(), r.str(), "average");
-        const double sum = r.f64();
-        const std::uint64_t count = r.u64();
-        const double lo = r.f64();
-        const double hi = r.f64();
-        a->restore(sum, count, lo, hi);
+
+    count(g.averages().size(), "average");
+    for (const auto &avg : g.averages()) {
+        name(avg->name(), "average");
+        double sum = avg->sum(), lo = avg->min(), hi = avg->max();
+        std::uint64_t n = avg->count();
+        f64(sum);
+        u64(n);
+        f64(lo);
+        f64(hi);
+        if (!saving())
+            avg->restore(sum, n, lo, hi);
     }
-    if (r.u64() != g.histograms().size())
-        throw Error("stats group '" + g.name() +
-                    "': histogram count mismatch");
+
+    count(g.histograms().size(), "histogram");
     for (const auto &h : g.histograms()) {
-        checkName(h->name(), r.str(), "histogram");
-        auto bins = r.vecU64();
+        name(h->name(), "histogram");
+        std::vector<std::uint64_t> bins;
+        if (saving()) {
+            bins.resize(h->numBins());
+            for (std::size_t i = 0; i < bins.size(); ++i)
+                bins[i] = h->bin(i);
+        }
+        vecU64(bins);
         if (bins.size() != h->numBins())
             throw Error("histogram '" + h->name() +
                         "': bin count mismatch");
-        const std::uint64_t uf = r.u64();
-        const std::uint64_t of = r.u64();
-        const std::uint64_t total = r.u64();
-        const double sum = r.f64();
-        h->restore(std::move(bins), uf, of, total, sum);
+        std::uint64_t uf = h->underflow(), of = h->overflow(),
+                      total = h->total();
+        double sum = h->sum();
+        u64(uf);
+        u64(of);
+        u64(total);
+        f64(sum);
+        if (!saving())
+            h->restore(std::move(bins), uf, of, total, sum);
     }
 }
 

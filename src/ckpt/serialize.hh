@@ -12,11 +12,13 @@
  *     u32 fileCrc            (over every preceding byte)
  *
  * All integers are little-endian fixed width; doubles are written as
- * their IEEE-754 bit pattern, so a round trip is bit-exact. Components
- * implement Serializable and read back exactly the bytes they wrote —
- * the Reader fails loudly (ckpt::Error) on any mismatch: truncation,
- * bad magic, unknown version, config-hash mismatch, CRC mismatch,
- * section-name mismatch, or a section that is under- or over-consumed.
+ * their IEEE-754 bit pattern, so a round trip is bit-exact. Each
+ * component describes its state once, in a checkpoint(Archive &) walk
+ * that both saves (over a Writer) and restores (over a Reader), so it
+ * reads back exactly the bytes it wrote. The Reader fails loudly
+ * (ckpt::Error) on any mismatch: truncation, bad magic, unknown
+ * version, config-hash mismatch, CRC mismatch, section-name mismatch,
+ * or a section that is under- or over-consumed.
  *
  * MemRequest objects are shared (one ReqPtr handle may sit in an LLC
  * miss list, a controller queue, and a pending completion event at
@@ -31,9 +33,12 @@
 #ifndef MITTS_CKPT_SERIALIZE_HH
 #define MITTS_CKPT_SERIALIZE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "base/types.hh"
@@ -72,18 +77,6 @@ class Error : public std::runtime_error
 /** CRC-32 (IEEE 802.3 polynomial, the zlib convention). */
 std::uint32_t crc32(const void *data, std::size_t len,
                     std::uint32_t crc = 0);
-
-class Writer;
-class Reader;
-
-/** Implemented by every stateful component. */
-class Serializable
-{
-  public:
-    virtual ~Serializable() = default;
-    virtual void saveState(Writer &w) const = 0;
-    virtual void loadState(Reader &r) = 0;
-};
 
 /** Serializer: encodes each section in place in one image buffer,
  *  then seals it. */
@@ -211,12 +204,254 @@ class Reader
     std::vector<ReqPtr> reqs_;
 };
 
+class Serializable;
+
 /**
- * Save / restore a stats::Group (counters, averages, histograms, by
- * registration order; names are checked on load).
+ * One walk, two directions. A component describes its state once, in
+ * `checkpoint(Archive &a)`; built over a Writer the walk saves, built
+ * over a Reader the same walk restores. Every field call takes a
+ * reference: it writes the field when saving and assigns it when
+ * restoring, so no layout is written down twice.
+ *
+ * A walk branches on saving() only where the two directions do
+ * different work (drain-order sorting, rebuilding derived state);
+ * check() and expect() validate on restore and always hold on save.
+ * Saving runs through a const_cast in Serializable's saveState entry
+ * point, so a walk must never change a field while saving.
  */
-void saveGroup(Writer &w, const stats::Group &g);
-void loadGroup(Reader &r, stats::Group &g);
+class Archive
+{
+  public:
+    explicit Archive(Writer &w) : w_(&w) {}
+    explicit Archive(Reader &r) : r_(&r) {}
+
+    bool saving() const { return w_ != nullptr; }
+
+    void
+    beginSection(const std::string &name)
+    {
+        w_ ? w_->beginSection(name) : r_->beginSection(name);
+    }
+
+    void endSection() { w_ ? w_->endSection() : r_->endSection(); }
+
+    void u8(std::uint8_t &v) { w_ ? w_->u8(v) : void(v = r_->u8()); }
+    void u32(std::uint32_t &v) { w_ ? w_->u32(v) : void(v = r_->u32()); }
+    void u64(std::uint64_t &v) { w_ ? w_->u64(v) : void(v = r_->u64()); }
+    void i64(std::int64_t &v) { w_ ? w_->i64(v) : void(v = r_->i64()); }
+    void f64(double &v) { w_ ? w_->f64(v) : void(v = r_->f64()); }
+    void b(bool &v) { w_ ? w_->b(v) : void(v = r_->b()); }
+    void str(std::string &v) { w_ ? w_->str(v) : void(v = r_->str()); }
+
+    void
+    vecU32(std::vector<std::uint32_t> &v)
+    {
+        w_ ? w_->vecU32(v) : void(v = r_->vecU32());
+    }
+
+    void
+    vecU64(std::vector<std::uint64_t> &v)
+    {
+        w_ ? w_->vecU64(v) : void(v = r_->vecU64());
+    }
+
+    void
+    vecF64(std::vector<double> &v)
+    {
+        w_ ? w_->vecF64(v) : void(v = r_->vecF64());
+    }
+
+    void
+    vecBool(std::vector<bool> &v)
+    {
+        w_ ? w_->vecBool(v) : void(v = r_->vecBool());
+    }
+
+    /** A (possibly shared, possibly null) request, interned by the
+     *  Writer/Reader so aliasing survives the round trip. */
+    void
+    request(ReqPtr &req)
+    {
+        w_ ? w_->request(req) : void(req = r_->request());
+    }
+
+    /** A stats::Group: counters, averages and histograms by
+     *  registration order; names are checked on restore. */
+    void group(stats::Group &g);
+
+    /** A Serializable member, through its virtual saveState /
+     *  loadState entry points (so a decorator's forwarding runs). */
+    void state(Serializable &s);
+
+    /** A structural count: written on save; on restore, read and
+     *  rejected with Error(what) unless it equals `n`. */
+    void
+    expect(std::uint64_t n, const char *what)
+    {
+        std::uint64_t got = n;
+        u64(got);
+        check(got == n, what);
+    }
+
+    /** Restore-side validation; `ok` always holds when saving. */
+    static void
+    check(bool ok, const char *what)
+    {
+        if (!ok)
+            throw Error(what);
+    }
+
+    /**
+     * A length-prefixed sequence, each element walked by `elem`. On
+     * restore `c` is cleared and one default element is appended per
+     * saved entry before `elem` fills it.
+     */
+    template <class C, class F>
+    void
+    seq(C &c, F &&elem)
+    {
+        std::uint64_t n = c.size();
+        u64(n);
+        if (!saving()) {
+            c.clear();
+            for (std::uint64_t i = 0; i < n; ++i)
+                elem(c.emplace_back());
+            return;
+        }
+        for (auto &e : c)
+            elem(e);
+    }
+
+    /**
+     * An unordered map with u64 keys, walked in key order (its own
+     * iteration order is not deterministic): the entry count, then
+     * each key followed by its value walked by `value`. Restore
+     * clears `m` first.
+     */
+    template <class M, class F>
+    void
+    sortedMap(M &m, F &&value)
+    {
+        std::vector<std::uint64_t> keys;
+        if (saving()) {
+            keys.reserve(m.size());
+            for (const auto &entry : m)
+                keys.push_back(entry.first);
+            std::sort(keys.begin(), keys.end());
+        } else {
+            m.clear();
+        }
+        std::uint64_t n = keys.size();
+        u64(n);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            std::uint64_t key = saving() ? keys[i] : 0;
+            u64(key);
+            value(m[key]);
+        }
+    }
+
+    /** A generator's state words (anything with state() returning
+     *  an array of u64 and a matching setState()). */
+    template <class G>
+    void
+    rng(G &g)
+    {
+        auto s = g.state();
+        for (std::uint64_t &word : s)
+            u64(word);
+        if (!saving())
+            g.setState(s);
+    }
+
+    // -- typed helpers: a field stored in a different width ----------
+
+    /** A byte-sized 0/1 flag stored as a bool byte. */
+    void
+    flag(std::uint8_t &v)
+    {
+        bool on = v != 0;
+        b(on);
+        if (!saving())
+            v = on ? 1 : 0;
+    }
+
+    /** An enum stored as one byte; restore rejects a byte past
+     *  `last` with "<what> <byte> out of range". */
+    template <class E>
+    void
+    enumByte(E &v, E last, const char *what)
+    {
+        std::uint8_t raw = static_cast<std::uint8_t>(v);
+        u8(raw);
+        if (saving())
+            return;
+        if (raw > static_cast<std::uint8_t>(last))
+            outOfRange(what, std::to_string(raw));
+        v = static_cast<E>(raw);
+    }
+
+    /** An integer stored as a u64 (i64 when signed); restore rejects
+     *  a value that does not fit `T` with "<what> <value> out of
+     *  range". */
+    template <class T>
+    void
+    narrow(T &v, const char *what)
+    {
+        static_assert(std::is_integral_v<T> && sizeof(T) <= 8);
+        std::conditional_t<std::is_signed_v<T>, std::int64_t,
+                           std::uint64_t>
+            wide = v;
+        if constexpr (std::is_signed_v<T>)
+            i64(wide);
+        else
+            u64(wide);
+        if (saving())
+            return;
+        if (!std::in_range<T>(wide))
+            outOfRange(what, std::to_string(wide));
+        v = static_cast<T>(wide);
+    }
+
+  private:
+    /** A registered name: written on save, checked on restore. */
+    void name(const std::string &want, const char *what);
+
+    [[noreturn]] static void
+    outOfRange(const char *what, const std::string &value)
+    {
+        throw Error(std::string(what) + " " + value + " out of range");
+    }
+
+    Writer *w_ = nullptr;
+    Reader *r_ = nullptr;
+};
+
+/**
+ * Implemented by every stateful component that a holder walks by its
+ * interface (traces, cores, caches, schedulers, shapers, extras).
+ * saveState / loadState are the entry points: both wrap the stream in
+ * an Archive and run the one checkpoint() walk. They stay virtual so a
+ * decorator can forward them to the object it wraps.
+ */
+class Serializable
+{
+  public:
+    virtual ~Serializable() = default;
+    virtual void saveState(Writer &w) const;
+    virtual void loadState(Reader &r);
+
+  protected:
+    /** The component's one checkpoint walk. */
+    virtual void checkpoint(Archive &a) = 0;
+};
+
+// Defined once Serializable is complete.
+
+inline void
+Archive::state(Serializable &s)
+{
+    saving() ? s.saveState(*w_) : s.loadState(*r_);
+}
 
 } // namespace mitts::ckpt
 

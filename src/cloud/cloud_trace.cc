@@ -99,31 +99,19 @@ CloudTrace::reset()
 }
 
 void
-CloudTrace::saveState(ckpt::Writer &w) const
+CloudTrace::checkpoint(ckpt::Archive &a)
 {
-    w.b(occupied_);
-    w.str(profileName_);
-    w.u64(generation_);
-    w.f64(stretch_);
-    w.f64(gapCarry_);
-    if (occupied_)
-        inner_->saveState(w);
-}
-
-void
-CloudTrace::loadState(ckpt::Reader &r)
-{
-    occupied_ = r.b();
-    profileName_ = r.str();
-    generation_ = r.u64();
-    stretch_ = r.f64();
-    gapCarry_ = r.f64();
-    if (occupied_) {
+    a.b(occupied_);
+    a.str(profileName_);
+    a.u64(generation_);
+    a.f64(stretch_);
+    a.f64(gapCarry_);
+    if (!a.saving() && occupied_)
         rebuild();
-        inner_->loadState(r);
-    } else {
+    else if (!a.saving())
         inner_.reset();
-    }
+    if (occupied_)
+        a.state(*inner_);
 }
 
 } // namespace mitts::cloud

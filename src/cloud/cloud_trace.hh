@@ -53,15 +53,16 @@ class CloudTrace : public TraceSource
     // TraceSource
     TraceOp next() override;
     void reset() override;
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+
+  protected:
+    void checkpoint(ckpt::Archive &a) override;
 
   private:
     void rebuild();
 
-    // detlint-transient(construction config; read by rebuild() on load)
+    // construction config; read by rebuild() on restore
     Addr base_;
-    // detlint-transient(construction config; read by rebuild() on load)
+    // construction config; read by rebuild() on restore
     std::uint64_t seedBase_;
 
     bool occupied_ = false;

@@ -532,52 +532,9 @@ CloudEngine::saveCheckpoint(const std::string &dir)
     for (unsigned si = 0; si < sockets_.size(); ++si)
         sockets_[si]->sys->saveCheckpoint(
             dir + "/socket" + std::to_string(si) + ".mitts");
-
     ckpt::Writer w;
-    w.beginSection("cloud");
-    w.u64(now_);
-    w.u64(nextArrival_);
-    w.endSection();
-
-    w.beginSection("slots");
-    for (const auto &S : sockets_) {
-        for (const Slot &sl : S->slots) {
-            w.i64(sl.record);
-            w.u64(sl.departAt);
-            w.u64(sl.tierIdx);
-            w.f64(sl.billBase);
-            w.u64(sl.winBase);
-            w.u64(sl.latBase);
-            w.u64(sl.bwBase);
-            w.u64(sl.lastIssued);
-            w.u64(sl.lastStalls);
-            w.u64(sl.lastRuleCheckAt);
-            w.i64(sl.pendingScale);
-        }
-    }
-    w.endSection();
-
-    w.beginSection("records");
-    w.u64(records_.size());
-    for (const TenantRecord &r : records_) {
-        w.b(r.admitted);
-        w.b(r.departed);
-        w.str(r.reason);
-        w.i64(r.socket);
-        w.u64(r.slot);
-        w.u64(r.admittedAt);
-        w.u64(r.departedAt);
-        w.u64(r.finalTier);
-        w.u64(r.upgrades);
-        w.u64(r.downgrades);
-        w.f64(r.bill);
-        w.u64(r.windows);
-        w.u64(r.latencyViolations);
-        w.u64(r.bandwidthViolations);
-        w.f64(r.aggDelayBoundCycles);
-        w.f64(r.analyticMeanLatency);
-    }
-    w.endSection();
+    ckpt::Archive a(w);
+    walkSections(a);
     w.writeFile(dir + "/cloud.mitts", scenarioHash(sc_));
 }
 
@@ -589,18 +546,24 @@ CloudEngine::restoreCheckpoint(const std::string &dir)
     for (unsigned si = 0; si < sockets_.size(); ++si)
         sockets_[si]->sys->restoreCheckpoint(
             dir + "/socket" + std::to_string(si) + ".mitts");
-
     ckpt::Reader r = ckpt::Reader::fromFile(dir + "/cloud.mitts",
                                             scenarioHash(sc_));
-    r.beginSection("cloud");
-    now_ = r.u64();
-    nextArrival_ = r.u64();
-    r.endSection();
+    ckpt::Archive a(r);
+    walkSections(a);
+}
+
+void
+CloudEngine::walkSections(ckpt::Archive &a)
+{
+    a.beginSection("cloud");
+    a.u64(now_);
+    a.u64(nextArrival_);
+    a.endSection();
     // Every socket runs every window, so images from one save share
     // the datacenter's cycle; a mismatch means a mixed directory.
     for (unsigned si = 0; si < sockets_.size(); ++si) {
         const Tick at = sockets_[si]->sys->sim().now();
-        if (at != now_)
+        if (at != now_ && !a.saving())
             throw ckpt::Error("socket " + std::to_string(si) +
                               " image is at cycle " +
                               std::to_string(at) +
@@ -608,53 +571,96 @@ CloudEngine::restoreCheckpoint(const std::string &dir)
                               std::to_string(now_));
     }
 
-    r.beginSection("slots");
+    a.beginSection("slots");
     for (auto &S : sockets_) {
         for (Slot &sl : S->slots) {
-            sl.record = static_cast<int>(r.i64());
-            sl.departAt = r.u64();
-            sl.tierIdx = static_cast<unsigned>(r.u64());
-            sl.billBase = r.f64();
-            sl.winBase = r.u64();
-            sl.latBase = r.u64();
-            sl.bwBase = r.u64();
-            sl.lastIssued = r.u64();
-            sl.lastStalls = r.u64();
-            sl.lastRuleCheckAt = r.u64();
-            sl.pendingScale = static_cast<int>(r.i64());
+            a.narrow(sl.record, "cloud slot record");
+            a.u64(sl.departAt);
+            a.narrow(sl.tierIdx, "cloud slot tier");
+            a.f64(sl.billBase);
+            a.u64(sl.winBase);
+            a.u64(sl.latBase);
+            a.u64(sl.bwBase);
+            a.u64(sl.lastIssued);
+            a.u64(sl.lastStalls);
+            a.u64(sl.lastRuleCheckAt);
+            a.narrow(sl.pendingScale, "cloud slot scale direction");
         }
     }
-    r.endSection();
+    a.endSection();
 
-    r.beginSection("records");
-    const std::uint64_t n = r.u64();
-    if (n != nextArrival_ ||
-        n > population_.arrivals().size())
-        throw ckpt::Error("cloud checkpoint record count "
-                          "inconsistent with the population");
-    records_.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        TenantRecord rec;
-        rec.spec = population_.arrivals()[i];
-        rec.admitted = r.b();
-        rec.departed = r.b();
-        rec.reason = r.str();
-        rec.socket = static_cast<int>(r.i64());
-        rec.slot = static_cast<unsigned>(r.u64());
-        rec.admittedAt = r.u64();
-        rec.departedAt = r.u64();
-        rec.finalTier = static_cast<unsigned>(r.u64());
-        rec.upgrades = static_cast<unsigned>(r.u64());
-        rec.downgrades = static_cast<unsigned>(r.u64());
-        rec.bill = r.f64();
-        rec.windows = r.u64();
-        rec.latencyViolations = r.u64();
-        rec.bandwidthViolations = r.u64();
-        rec.aggDelayBoundCycles = r.f64();
-        rec.analyticMeanLatency = r.f64();
-        records_.push_back(std::move(rec));
+    a.beginSection("records");
+    std::uint64_t n = records_.size();
+    a.u64(n);
+    a.check(n == nextArrival_ && n <= population_.arrivals().size(),
+            "cloud checkpoint record count inconsistent with the "
+            "population");
+    if (!a.saving()) {
+        records_.assign(n, TenantRecord{});
+        for (std::uint64_t i = 0; i < n; ++i)
+            records_[i].spec = population_.arrivals()[i];
     }
-    r.endSection();
+    for (TenantRecord &rec : records_) {
+        a.b(rec.admitted);
+        a.b(rec.departed);
+        a.str(rec.reason);
+        a.narrow(rec.socket, "cloud record socket");
+        a.narrow(rec.slot, "cloud record slot");
+        a.u64(rec.admittedAt);
+        a.u64(rec.departedAt);
+        a.narrow(rec.finalTier, "cloud record tier");
+        a.narrow(rec.upgrades, "cloud record upgrade count");
+        a.narrow(rec.downgrades, "cloud record downgrade count");
+        a.f64(rec.bill);
+        a.u64(rec.windows);
+        a.u64(rec.latencyViolations);
+        a.u64(rec.bandwidthViolations);
+        a.f64(rec.aggDelayBoundCycles);
+        a.f64(rec.analyticMeanLatency);
+    }
+    a.endSection();
+    if (!a.saving())
+        validateIndices();
+}
+
+void
+CloudEngine::validateIndices() const
+{
+    const long long tiers = market_.numTiers();
+    const long long records = static_cast<long long>(records_.size());
+    const long long sockets = static_cast<long long>(sockets_.size());
+    auto fail = [](const std::string &what, long long v, long long n,
+                   const char *unit) {
+        throw ckpt::Error("cloud checkpoint: " + what + " " +
+                          std::to_string(v) + " is out of range (" +
+                          std::to_string(n) + " " + unit + ")");
+    };
+    for (unsigned si = 0; si < sockets_.size(); ++si) {
+        for (unsigned c = 0; c < sockets_[si]->slots.size(); ++c) {
+            const Slot &sl = sockets_[si]->slots[c];
+            auto name = [&](const char *field) {
+                return "slot " + std::to_string(si) + "." +
+                       std::to_string(c) + " " + field;
+            };
+            if (sl.record < -1 || sl.record >= records)
+                fail(name("record"), sl.record, records, "records");
+            if (sl.tierIdx >= tiers)
+                fail(name("tier"), sl.tierIdx, tiers, "tiers");
+        }
+    }
+    for (std::size_t i = 0; i < records_.size(); ++i) {
+        const TenantRecord &rec = records_[i];
+        auto name = [&](const char *field) {
+            return "record " + std::to_string(i) + " " + field;
+        };
+        if (rec.finalTier >= tiers)
+            fail(name("tier"), rec.finalTier, tiers, "tiers");
+        if (rec.socket < -1 || rec.socket >= sockets)
+            fail(name("socket"), rec.socket, sockets, "sockets");
+        if (rec.slot >= sc_.coresPerSocket)
+            fail(name("slot"), rec.slot, sc_.coresPerSocket,
+                 "slots per socket");
+    }
 }
 
 } // namespace mitts::cloud

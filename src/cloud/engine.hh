@@ -190,6 +190,11 @@ class CloudEngine
     /** Accrue every resident's charges up to now() and copy live
      *  monitor/billing deltas into their records. */
     void settleResidents();
+    /** The one walk over cloud.mitts, shared by save and restore. */
+    void walkSections(ckpt::Archive &a);
+    /** Restore-side: every slot and record index names a real
+     *  record, tier, socket and slot (throws ckpt::Error). */
+    void validateIndices() const;
 
     ScenarioConfig sc_;
     std::string outDir_;

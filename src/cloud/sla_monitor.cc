@@ -179,48 +179,25 @@ SlaMonitor::registerTelemetry(telemetry::Telemetry &t)
 }
 
 void
-SlaMonitor::saveState(ckpt::Writer &w) const
+SlaMonitor::checkpoint(ckpt::Archive &a)
 {
-    ckpt::saveGroup(w, stats_);
-    for (const Slot &s : slots_) {
-        w.b(s.occupied);
-        w.u64(s.tenantId);
-        w.f64(s.p99Bound);
-        w.f64(s.minGBps);
-        w.f64(s.lastP99);
-        w.f64(s.lastGBps);
-    }
-    for (const CoreSnapshot &pr : prev_) {
-        w.vecU64(pr.histBins);
-        w.u64(pr.histUnderflow);
-        w.u64(pr.histOverflow);
-        w.u64(pr.histTotal);
-        w.f64(pr.histSum);
-        w.u64(pr.completed);
-        w.u64(pr.shaperStall);
-    }
-}
-
-void
-SlaMonitor::loadState(ckpt::Reader &r)
-{
-    ckpt::loadGroup(r, stats_);
+    a.group(stats_);
     for (Slot &s : slots_) {
-        s.occupied = r.b();
-        s.tenantId = r.u64();
-        s.p99Bound = r.f64();
-        s.minGBps = r.f64();
-        s.lastP99 = r.f64();
-        s.lastGBps = r.f64();
+        a.b(s.occupied);
+        a.u64(s.tenantId);
+        a.f64(s.p99Bound);
+        a.f64(s.minGBps);
+        a.f64(s.lastP99);
+        a.f64(s.lastGBps);
     }
     for (CoreSnapshot &pr : prev_) {
-        pr.histBins = r.vecU64();
-        pr.histUnderflow = r.u64();
-        pr.histOverflow = r.u64();
-        pr.histTotal = r.u64();
-        pr.histSum = r.f64();
-        pr.completed = r.u64();
-        pr.shaperStall = r.u64();
+        a.vecU64(pr.histBins);
+        a.u64(pr.histUnderflow);
+        a.u64(pr.histOverflow);
+        a.u64(pr.histTotal);
+        a.f64(pr.histSum);
+        a.u64(pr.completed);
+        a.u64(pr.shaperStall);
     }
 }
 

@@ -93,9 +93,9 @@ class SlaMonitor : public Clocked, public ckpt::Serializable
     void tick(Tick now) override;
     Tick nextWakeTick(Tick now) const override;
 
+  protected:
     // ckpt::Serializable
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+    void checkpoint(ckpt::Archive &a) override;
 
   private:
     struct Slot

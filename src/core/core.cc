@@ -248,73 +248,51 @@ Core::dispatch(Tick now, bool &chase_wait, bool &l1_blocked)
 }
 
 void
-Core::saveState(ckpt::Writer &w) const
-{
-    w.u64(windowCount_);
-    for (std::size_t k = 0; k < windowCount_; ++k) {
-        w.u64(windowHeadSeq_ + k);
-        w.u64(slot(k).readyAt);
-        w.b(slot(k).isMem);
-    }
-    w.u64(nextSeq_);
-    w.f64(nonMemBudget_);
-    w.u64(lastLoadSeq_);
-    w.u64(lastChaseSeq_);
-    w.u64(memDepStalls_);
-    w.u64(pendingOp_.gap);
-    w.b(pendingOp_.isWrite);
-    w.b(pendingOp_.dependsOnPrev);
-    w.u64(pendingOp_.addr);
-    w.b(havePendingOp_);
-    w.u64(gapLeft_);
-    w.u64(stallUntil_);
-    w.b(halted_);
-    w.u8(static_cast<std::uint8_t>(idle_));
-    w.u64(robStallStart_);
-    ckpt::saveGroup(w, stats_);
-}
-
-void
-Core::loadState(ckpt::Reader &r)
+Core::checkpoint(ckpt::Archive &a)
 {
     // The ring holds windowSize entries with consecutive seqs ending
     // at nextSeq_ - 1; reject anything else before it is written.
-    const std::uint64_t n = r.u64();
+    std::uint64_t n = windowCount_;
+    a.u64(n);
     if (n > cfg_.windowSize)
         throw ckpt::Error("core window holds " + std::to_string(n) +
                           " entries, more than its " +
                           std::to_string(cfg_.windowSize) + " slots");
-    windowHead_ = 0;
-    windowCount_ = 0;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const SeqNum seq = r.u64();
-        if (i == 0)
+    if (!a.saving())
+        windowHead_ = windowCount_ = 0;
+    for (std::uint64_t k = 0; k < n; ++k) {
+        SeqNum seq = windowHeadSeq_ + k;
+        a.u64(seq);
+        if (!a.saving() && k == 0)
             windowHeadSeq_ = seq;
-        else if (seq != windowHeadSeq_ + i)
-            throw ckpt::Error("core window seqs are not consecutive");
-        const Tick ready_at = r.u64();
-        pushWindow(ready_at, r.b());
+        a.check(seq == windowHeadSeq_ + k,
+                "core window seqs are not consecutive");
+        WindowSlot s = a.saving() ? slot(k) : WindowSlot{};
+        a.u64(s.readyAt);
+        a.b(s.isMem);
+        if (!a.saving())
+            pushWindow(s.readyAt, s.isMem);
     }
-    nextSeq_ = r.u64();
-    if (n == 0)
+    a.u64(nextSeq_);
+    if (n == 0 && !a.saving())
         windowHeadSeq_ = nextSeq_;
-    else if (windowHeadSeq_ + n != nextSeq_)
-        throw ckpt::Error("core window does not end at the next seq");
-    nonMemBudget_ = r.f64();
-    lastLoadSeq_ = r.u64();
-    lastChaseSeq_ = r.u64();
-    memDepStalls_ = r.u64();
-    pendingOp_.gap = static_cast<std::uint32_t>(r.u64());
-    pendingOp_.isWrite = r.b();
-    pendingOp_.dependsOnPrev = r.b();
-    pendingOp_.addr = r.u64();
-    havePendingOp_ = r.b();
-    gapLeft_ = static_cast<std::uint32_t>(r.u64());
-    stallUntil_ = r.u64();
-    halted_ = r.b();
-    idle_ = static_cast<IdleState>(r.u8());
-    robStallStart_ = r.u64();
-    ckpt::loadGroup(r, stats_);
+    a.check(n == 0 || windowHeadSeq_ + n == nextSeq_,
+            "core window does not end at the next seq");
+    a.f64(nonMemBudget_);
+    a.u64(lastLoadSeq_);
+    a.u64(lastChaseSeq_);
+    a.u64(memDepStalls_);
+    a.narrow(pendingOp_.gap, "core pending-op gap");
+    a.b(pendingOp_.isWrite);
+    a.b(pendingOp_.dependsOnPrev);
+    a.u64(pendingOp_.addr);
+    a.b(havePendingOp_);
+    a.narrow(gapLeft_, "core gap");
+    a.u64(stallUntil_);
+    a.b(halted_);
+    a.enumByte(idle_, IdleState::L1Blocked, "core idle state");
+    a.u64(robStallStart_);
+    a.group(stats_);
 }
 
 const Core::WindowSlot *

@@ -112,11 +112,11 @@ class Core : public Clocked, public L1Client,
      */
     void registerTelemetry(telemetry::Telemetry &t);
 
+  protected:
     /** Checkpoint window, trace cursor, stall/idle state and stats.
      *  The open trace-event episode (robStallStart_) is included so a
      *  resumed run emits the identical duration event. */
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+    void checkpoint(ckpt::Archive &a) override;
 
   private:
     /** One window entry. Its seq is implicit: window seqs are
@@ -175,7 +175,7 @@ class Core : public Clocked, public L1Client,
         ++windowCount_;
     }
 
-    // detlint-transient(construction-time config; never mutated after build)
+    // construction-time config; never mutated after build
     CoreConfig cfg_;
     // detlint-transient(immutable core id)
     CoreId id_;

@@ -226,52 +226,29 @@ Dram::tick(Tick now)
 }
 
 void
-Dram::saveState(ckpt::Writer &w) const
+Dram::checkpoint(ckpt::Archive &a)
 {
     // Per-bank fields stay interleaved in the stream (the layout
     // predates the SoA split) so checkpoints remain byte-compatible.
-    w.u64(bankRowOpen_.size());
+    a.expect(bankRowOpen_.size(), "DRAM bank count mismatch");
     for (std::size_t b = 0; b < bankRowOpen_.size(); ++b) {
-        w.b(bankRowOpen_[b] != 0);
-        w.u64(bankRow_[b]);
-        w.u64(bankBusyUntil_[b]);
-        w.u64(bankActivateAt_[b]);
-        w.u64(bankWriteRecoverUntil_[b]);
+        a.flag(bankRowOpen_[b]);
+        a.u64(bankRow_[b]);
+        a.u64(bankBusyUntil_[b]);
+        a.u64(bankActivateAt_[b]);
+        a.u64(bankWriteRecoverUntil_[b]);
     }
-    w.u64(busFreeAt_);
-    w.vecU64(recentActivates_);
-    w.u64(actHead_);
-    w.u64(numActivates_);
-    w.u64(lastActivate_);
-    w.b(anyActivate_);
-    w.u64(nextRefreshAt_);
-    w.u64(refBlockUntil_);
-    ckpt::saveGroup(w, stats_);
-}
-
-void
-Dram::loadState(ckpt::Reader &r)
-{
-    if (r.u64() != bankRowOpen_.size())
-        throw ckpt::Error("DRAM bank count mismatch");
-    for (std::size_t b = 0; b < bankRowOpen_.size(); ++b) {
-        bankRowOpen_[b] = r.b() ? 1 : 0;
-        bankRow_[b] = r.u64();
-        bankBusyUntil_[b] = r.u64();
-        bankActivateAt_[b] = r.u64();
-        bankWriteRecoverUntil_[b] = r.u64();
-    }
-    busFreeAt_ = r.u64();
-    recentActivates_ = r.vecU64();
-    if (recentActivates_.size() != 4)
-        throw ckpt::Error("DRAM activate ring size mismatch");
-    actHead_ = r.u64();
-    numActivates_ = r.u64();
-    lastActivate_ = r.u64();
-    anyActivate_ = r.b();
-    nextRefreshAt_ = r.u64();
-    refBlockUntil_ = r.u64();
-    ckpt::loadGroup(r, stats_);
+    a.u64(busFreeAt_);
+    a.vecU64(recentActivates_);
+    a.check(recentActivates_.size() == 4,
+            "DRAM activate ring size mismatch");
+    a.narrow(actHead_, "DRAM activate ring head");
+    a.narrow(numActivates_, "DRAM activate count");
+    a.u64(lastActivate_);
+    a.b(anyActivate_);
+    a.u64(nextRefreshAt_);
+    a.u64(refBlockUntil_);
+    a.group(stats_);
 }
 
 } // namespace mitts

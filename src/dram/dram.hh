@@ -131,9 +131,9 @@ class Dram : public ckpt::Serializable
     std::uint64_t rowMisses() const { return rowMisses_.value(); }
     std::uint64_t rowConflicts() const { return rowConflicts_.value(); }
 
+  protected:
     /** Checkpoint bank/bus/activate-window/refresh timing state. */
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+    void checkpoint(ckpt::Archive &a) override;
 
   private:
     bool activateAllowed(Tick at) const;

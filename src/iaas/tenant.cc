@@ -56,19 +56,11 @@ Tenant::bill(Tick now)
 }
 
 void
-Tenant::saveState(ckpt::Writer &w) const
+Tenant::checkpoint(ckpt::Archive &a)
 {
-    saveBinConfig(w, current_);
-    w.u64(accruedTo_);
-    w.f64(charges_);
-}
-
-void
-Tenant::loadState(ckpt::Reader &r)
-{
-    current_ = loadBinConfig(r);
-    accruedTo_ = r.u64();
-    charges_ = r.f64();
+    binConfig(a, current_);
+    a.u64(accruedTo_);
+    a.f64(charges_);
 }
 
 AutoScaler::AutoScaler(std::string name, Tenant &tenant,
@@ -116,42 +108,20 @@ AutoScaler::nextWakeTick(Tick now) const
 }
 
 void
-AutoScaler::saveState(ckpt::Writer &w) const
+AutoScaler::checkpoint(ckpt::Archive &a)
 {
-    w.u64(checkPeriod_);
-    w.u64(nextCheckAt_);
-    w.u64(schedule_.size());
-    for (const auto &e : schedule_) {
-        w.u64(e.at);
-        saveBinConfig(w, e.config);
-    }
-    w.u64(rules_.size());
-    for (const auto &rule : rules_)
-        w.u64(rule.lastFiredAt);
-    ckpt::saveGroup(w, stats_);
-}
-
-void
-AutoScaler::loadState(ckpt::Reader &r)
-{
-    if (r.u64() != checkPeriod_)
-        throw ckpt::Error("auto-scaler check period mismatch");
-    nextCheckAt_ = r.u64();
-    schedule_.clear();
-    const std::uint64_t n_sched = r.u64();
-    for (std::uint64_t i = 0; i < n_sched; ++i) {
-        ScheduledReconfig e;
-        e.at = r.u64();
-        e.config = loadBinConfig(r);
-        schedule_.push_back(std::move(e));
-    }
-    if (r.u64() != rules_.size())
-        throw ckpt::Error(
-            "auto-scaler rule count mismatch: re-register the same "
-            "rules before loadState");
+    a.expect(checkPeriod_, "auto-scaler check period mismatch");
+    a.u64(nextCheckAt_);
+    a.seq(schedule_, [&](ScheduledReconfig &e) {
+        a.u64(e.at);
+        binConfig(a, e.config);
+    });
+    a.expect(rules_.size(),
+             "auto-scaler rule count mismatch: re-register the same "
+             "rules before loadState");
     for (auto &rule : rules_)
-        rule.lastFiredAt = r.u64();
-    ckpt::loadGroup(r, stats_);
+        a.u64(rule.lastFiredAt);
+    a.group(stats_);
 }
 
 void

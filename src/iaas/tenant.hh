@@ -60,11 +60,11 @@ class Tenant : public ckpt::Serializable
         return static_cast<unsigned>(shapers_.size());
     }
 
+  protected:
     /** Checkpoint the held configuration and the accrual state; the
      *  shapers serialize themselves (their owner's sections), so
-     *  loadState deliberately does not touch them. */
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+     *  the walk deliberately does not touch them. */
+    void checkpoint(ckpt::Archive &a) override;
 
   private:
     // detlint-transient(immutable tenant id)
@@ -122,21 +122,21 @@ class AutoScaler : public Clocked, public ckpt::Serializable
      */
     Tick nextWakeTick(Tick now) const override;
 
-    /**
-     * Rule triggers/actions are closures and cannot be serialized;
-     * the owner re-registers the same rules before loadState, which
-     * restores their cooldown clocks (and throws ckpt::Error on a
-     * rule-count mismatch).
-     */
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
-
     std::uint64_t reconfigurations() const
     {
         return reconfigs_.value();
     }
     std::uint64_t ruleFirings() const { return ruleFirings_.value(); }
     stats::Group &statsGroup() { return stats_; }
+
+  protected:
+    /**
+     * Rule triggers/actions are closures and cannot be serialized;
+     * the owner re-registers the same rules before restoring, which
+     * restores their cooldown clocks (and throws ckpt::Error on a
+     * rule-count mismatch).
+     */
+    void checkpoint(ckpt::Archive &a) override;
 
   private:
     Tenant &tenant_;

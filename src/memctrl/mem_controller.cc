@@ -329,50 +329,33 @@ MemController::complete(const ReqPtr &req, Tick done)
 }
 
 void
-MemController::saveState(ckpt::Writer &w) const
+MemController::checkpoint(ckpt::Archive &a)
 {
-    w.u64(queues_.size());
-    for (const auto &q : queues_) {
-        w.u64(q.size());
-        for (std::size_t i = 0; i < q.size(); ++i)
-            w.request(q.req(i));
-    }
-    std::vector<bool> draining(draining_.begin(), draining_.end());
-    w.vecBool(draining);
-    w.u64(smoothingFifo_.size());
-    for (const auto &r : smoothingFifo_)
-        w.request(r);
-    for (const auto &dram : drams_)
-        dram->saveState(w);
-    ckpt::saveGroup(w, stats_);
-}
-
-void
-MemController::loadState(ckpt::Reader &r)
-{
-    const std::uint64_t nq = r.u64();
-    if (nq != queues_.size())
-        throw ckpt::Error("MC channel count mismatch");
+    a.expect(queues_.size(), "MC channel count mismatch");
     for (unsigned c = 0; c < queues_.size(); ++c) {
         auto &q = queues_[c];
-        q.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i)
-            q.push(r.request(), drams_[c]->config());
+        std::uint64_t n = q.size();
+        a.u64(n);
+        if (!a.saving())
+            q.clear();
+        for (std::uint64_t i = 0; i < n; ++i) {
+            ReqPtr req = a.saving() ? q.req(i) : nullptr;
+            a.request(req);
+            if (!a.saving())
+                q.push(std::move(req), drams_[c]->config());
+        }
     }
-    const auto draining = r.vecBool();
-    if (draining.size() != draining_.size())
-        throw ckpt::Error("MC drain-latch count mismatch");
-    draining_.assign(draining.begin(), draining.end());
-    smoothingFifo_.clear();
-    const std::uint64_t nf = r.u64();
-    for (std::uint64_t i = 0; i < nf; ++i)
-        smoothingFifo_.push_back(r.request());
-    for (const auto &dram : drams_)
-        dram->loadState(r);
-    ckpt::loadGroup(r, stats_);
-    for (unsigned c = 0; c < cfg_.numChannels; ++c)
-        invalidateChannel(c);
+    a.vecBool(draining_);
+    a.check(draining_.size() == queues_.size(),
+            "MC drain-latch count mismatch");
+    a.seq(smoothingFifo_, [&](ReqPtr &r) { a.request(r); });
+    for (auto &dram : drams_)
+        a.state(*dram);
+    a.group(stats_);
+    if (!a.saving()) {
+        for (unsigned c = 0; c < cfg_.numChannels; ++c)
+            invalidateChannel(c);
+    }
 }
 
 } // namespace mitts

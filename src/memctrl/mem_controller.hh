@@ -167,8 +167,7 @@ class MemController : public Clocked, public MemSink
     void setVerifyIssueGate(bool on) { verifyIssueGate_ = on; }
 
     /** Checkpoint queues, drain latches, FIFO, DRAM timing, stats. */
-    void saveState(ckpt::Writer &w) const;
-    void loadState(ckpt::Reader &r);
+    void checkpoint(ckpt::Archive &a);
 
   private:
     void scheduleChannel(unsigned channel, Tick now);
@@ -187,7 +186,7 @@ class MemController : public Clocked, public MemSink
         scanValid_[channel] = 0;
     }
 
-    // detlint-transient(construction config; load validates geometry against it)
+    // construction config; restore validates geometry against it
     McConfig cfg_;
     EventQueue &events_;
     std::vector<std::unique_ptr<Dram>> drams_; ///< one per channel

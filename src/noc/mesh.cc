@@ -90,20 +90,12 @@ MeshNoc::route(unsigned src, unsigned dst, Tick now)
 }
 
 void
-MeshNoc::saveState(ckpt::Writer &w) const
+MeshNoc::checkpoint(ckpt::Archive &a)
 {
-    w.vecU64(linkBusyUntil_);
-    ckpt::saveGroup(w, stats_);
-}
-
-void
-MeshNoc::loadState(ckpt::Reader &r)
-{
-    const std::vector<std::uint64_t> busy = r.vecU64();
-    if (busy.size() != linkBusyUntil_.size())
-        throw ckpt::Error("noc link count mismatch");
-    linkBusyUntil_ = busy;
-    ckpt::loadGroup(r, stats_);
+    const std::size_t links = linkBusyUntil_.size();
+    a.vecU64(linkBusyUntil_);
+    a.check(linkBusyUntil_.size() == links, "noc link count mismatch");
+    a.group(stats_);
 }
 
 } // namespace mitts

@@ -79,8 +79,8 @@ class MeshNoc : public ckpt::Serializable
     stats::Group &statsGroup() { return stats_; }
     double avgLatency() const { return latency_.mean(); }
 
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+  protected:
+    void checkpoint(ckpt::Archive &a) override;
 
   private:
     /** Link id for the hop from `from` toward `to` (adjacent). */

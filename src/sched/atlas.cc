@@ -85,30 +85,19 @@ AtlasScheduler::pick(const TxnQueue &queue, const Dram &dram,
 }
 
 void
-AtlasScheduler::saveState(ckpt::Writer &w) const
+AtlasScheduler::checkpoint(ckpt::Archive &a)
 {
-    RankedFrfcfs::saveState(w);
-    w.vecF64(quantumService_);
-    w.vecF64(totalService_);
-    w.u64(ranks_.size());
-    for (int v : ranks_)
-        w.i64(v);
-    w.u64(nextQuantumAt_);
-}
-
-void
-AtlasScheduler::loadState(ckpt::Reader &r)
-{
-    RankedFrfcfs::loadState(r);
-    quantumService_ = r.vecF64();
-    totalService_ = r.vecF64();
-    const std::uint64_t n = r.u64();
-    if (quantumService_.size() != numCores_ ||
-        totalService_.size() != numCores_ || n != numCores_)
-        throw ckpt::Error("atlas core count mismatch");
-    for (auto &v : ranks_)
-        v = static_cast<int>(r.i64());
-    nextQuantumAt_ = r.u64();
+    RankedFrfcfs::checkpoint(a);
+    a.vecF64(quantumService_);
+    a.vecF64(totalService_);
+    std::uint64_t n = ranks_.size();
+    a.u64(n);
+    a.check(quantumService_.size() == numCores_ &&
+                totalService_.size() == numCores_ && n == numCores_,
+            "atlas core count mismatch");
+    for (int &v : ranks_)
+        a.narrow(v, "atlas rank");
+    a.u64(nextQuantumAt_);
 }
 
 } // namespace mitts

@@ -48,16 +48,14 @@ class AtlasScheduler : public RankedFrfcfs
         return totalService_[core];
     }
 
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
-
   protected:
+    void checkpoint(ckpt::Archive &a) override;
     int rankOf(CoreId core) const override { return ranks_[core]; }
 
   private:
     void requantize();
 
-    // detlint-transient(fixed at construction; load validates counts against it)
+    // fixed at construction; restore validates counts against it
     unsigned numCores_;
     // detlint-transient(construction-time config; never mutated after build)
     AtlasConfig cfg_;

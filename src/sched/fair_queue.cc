@@ -74,19 +74,12 @@ FairQueueScheduler::pick(const TxnQueue &queue, const Dram &dram,
 }
 
 void
-FairQueueScheduler::saveState(ckpt::Writer &w) const
+FairQueueScheduler::checkpoint(ckpt::Archive &a)
 {
-    w.vecF64(virtualClock_);
-    w.f64(systemVt_);
-}
-
-void
-FairQueueScheduler::loadState(ckpt::Reader &r)
-{
-    virtualClock_ = r.vecF64();
-    if (virtualClock_.size() != numCores_)
-        throw ckpt::Error("fair-queue core count mismatch");
-    systemVt_ = r.f64();
+    a.vecF64(virtualClock_);
+    a.check(virtualClock_.size() == numCores_,
+            "fair-queue core count mismatch");
+    a.f64(systemVt_);
 }
 
 } // namespace mitts

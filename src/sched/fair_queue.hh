@@ -40,14 +40,14 @@ class FairQueueScheduler : public MemScheduler
     int pick(const TxnQueue &queue, const Dram &dram,
              Tick now) override;
 
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+  protected:
+    void checkpoint(ckpt::Archive &a) override;
 
   private:
     double virtualFinishOf(CoreId core, Tick now,
                            double service_cost) const;
 
-    // detlint-transient(fixed at construction; load validates counts against it)
+    // fixed at construction; restore validates counts against it
     unsigned numCores_;
     // detlint-transient(per-core weights fixed at construction)
     std::vector<double> shares_;

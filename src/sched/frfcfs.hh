@@ -32,19 +32,13 @@ class RankedFrfcfs : public MemScheduler
     void setBoostedCore(CoreId core) { boosted_ = core; }
     CoreId boostedCore() const { return boosted_; }
 
-    void
-    saveState(ckpt::Writer &w) const override
-    {
-        w.i64(boosted_);
-    }
-
-    void
-    loadState(ckpt::Reader &r) override
-    {
-        boosted_ = static_cast<CoreId>(r.i64());
-    }
-
   protected:
+    void
+    checkpoint(ckpt::Archive &a) override
+    {
+        a.narrow(boosted_, "boosted core");
+    }
+
     /**
      * Rank of a core; higher wins. Default 0 for everyone, which
      * reduces the policy to plain FR-FCFS.

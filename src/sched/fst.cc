@@ -125,33 +125,20 @@ FstScheduler::adjust()
 }
 
 void
-FstScheduler::saveState(ckpt::Writer &w) const
+FstScheduler::checkpoint(ckpt::Archive &a)
 {
-    RankedFrfcfs::saveState(w);
-    est_->saveState(w);
-    w.vecF64(levels_);
-    w.u64(levelIdx_.size());
-    for (int v : levelIdx_)
-        w.i64(v);
-    w.u64(nextAdjustAt_);
+    RankedFrfcfs::checkpoint(a);
+    est_->checkpoint(a);
+    a.vecF64(levels_);
+    std::uint64_t n = levelIdx_.size();
+    a.u64(n);
+    a.check(levels_.size() == numCores_ && n == numCores_,
+            "fst core count mismatch");
+    for (int &v : levelIdx_)
+        a.narrow(v, "fst throttle level");
+    a.u64(nextAdjustAt_);
     for (const auto &g : gates_)
-        g->saveState(w);
-}
-
-void
-FstScheduler::loadState(ckpt::Reader &r)
-{
-    RankedFrfcfs::loadState(r);
-    est_->loadState(r);
-    levels_ = r.vecF64();
-    const std::uint64_t n = r.u64();
-    if (levels_.size() != numCores_ || n != numCores_)
-        throw ckpt::Error("fst core count mismatch");
-    for (auto &v : levelIdx_)
-        v = static_cast<int>(r.i64());
-    nextAdjustAt_ = r.u64();
-    for (const auto &g : gates_)
-        g->loadState(r);
+        g->checkpoint(a);
 }
 
 } // namespace mitts

@@ -48,17 +48,10 @@ class FstGate : public SourceGate
     Tick nextIssueTick(Tick now) const override;
 
     void
-    saveState(ckpt::Writer &w) const
+    checkpoint(ckpt::Archive &a)
     {
-        w.u64(bucket_.level);
-        w.u64(bucket_.last);
-    }
-
-    void
-    loadState(ckpt::Reader &r)
-    {
-        bucket_.level = r.u64();
-        bucket_.last = r.u64();
+        a.u64(bucket_.level);
+        a.u64(bucket_.last);
     }
 
   private:
@@ -97,13 +90,13 @@ class FstScheduler : public RankedFrfcfs
     /** Gate bucket depth in token units. */
     std::uint64_t tokenCap() const;
 
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+  protected:
+    void checkpoint(ckpt::Archive &a) override;
 
   private:
     void adjust();
 
-    // detlint-transient(fixed at construction; load validates counts against it)
+    // fixed at construction; restore validates counts against it
     unsigned numCores_;
     // detlint-transient(construction-time config; never mutated after build)
     FstConfig cfg_;

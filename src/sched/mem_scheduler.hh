@@ -43,10 +43,9 @@ class AppMonitor
 };
 
 /** Scheduling policy plugged into the memory controller. */
-class MemScheduler
+class MemScheduler : public ckpt::Serializable
 {
   public:
-    virtual ~MemScheduler() = default;
 
     /** Empty for the built-in policies, which the name registry in
      *  system/config.hh names by SchedulerKind; a decorator wrapping
@@ -103,15 +102,14 @@ class MemScheduler
     /** Supply application state for application-aware policies. */
     virtual void setMonitor(const AppMonitor *mon) { monitor_ = mon; }
 
+  protected:
     /**
      * Checkpoint policy-internal state (ranks, epochs, estimators).
      * Stateless policies (plain FR-FCFS, FCFS) keep the empty
-     * default; every stateful policy must override both.
+     * default; every stateful policy must override it.
      */
-    virtual void saveState(ckpt::Writer &w) const { (void)w; }
-    virtual void loadState(ckpt::Reader &r) { (void)r; }
+    void checkpoint(ckpt::Archive &a) override { (void)a; }
 
-  protected:
     /** Oldest queue entry that can issue now; -1 if none. */
     static int
     firstReady(const TxnQueue &queue, const Dram &dram, Tick now)

@@ -91,32 +91,23 @@ class MemGuardController : public Clocked, public ckpt::Serializable
     std::uint64_t budget(CoreId core) const { return budget_[core]; }
     std::uint64_t used(CoreId core) const { return used_[core]; }
 
+  protected:
     void
-    saveState(ckpt::Writer &w) const override
+    checkpoint(ckpt::Archive &a) override
     {
-        w.vecU64(budget_);
-        w.vecU64(used_);
-        w.u64(globalBudget_);
-        w.u64(globalUsed_);
-        w.u64(nextResetAt_);
-    }
-
-    void
-    loadState(ckpt::Reader &r) override
-    {
-        budget_ = r.vecU64();
-        used_ = r.vecU64();
-        if (budget_.size() != numCores_ || used_.size() != numCores_)
-            throw ckpt::Error("memguard core count mismatch");
-        globalBudget_ = r.u64();
-        globalUsed_ = r.u64();
-        nextResetAt_ = r.u64();
+        a.vecU64(budget_);
+        a.vecU64(used_);
+        a.check(budget_.size() == numCores_ && used_.size() == numCores_,
+                "memguard core count mismatch");
+        a.u64(globalBudget_);
+        a.u64(globalUsed_);
+        a.u64(nextResetAt_);
     }
 
   private:
     // detlint-transient(construction-time config; never mutated after build)
     MemGuardConfig cfg_;
-    // detlint-transient(fixed at construction; load validates counts against it)
+    // fixed at construction; restore validates counts against it
     unsigned numCores_;
     const MemController *mc_ = nullptr;
     // detlint-transient(stateless per-core facades over controller state)

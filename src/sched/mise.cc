@@ -65,26 +65,14 @@ MiseScheduler::reprioritize()
 }
 
 void
-MiseScheduler::saveState(ckpt::Writer &w) const
+MiseScheduler::checkpoint(ckpt::Archive &a)
 {
-    RankedFrfcfs::saveState(w);
-    est_->saveState(w);
-    w.u64(ranks_.size());
-    for (int v : ranks_)
-        w.i64(v);
-    w.u64(nextIntervalAt_);
-}
-
-void
-MiseScheduler::loadState(ckpt::Reader &r)
-{
-    RankedFrfcfs::loadState(r);
-    est_->loadState(r);
-    if (r.u64() != numCores_)
-        throw ckpt::Error("mise core count mismatch");
-    for (auto &v : ranks_)
-        v = static_cast<int>(r.i64());
-    nextIntervalAt_ = r.u64();
+    RankedFrfcfs::checkpoint(a);
+    est_->checkpoint(a);
+    a.expect(ranks_.size(), "mise core count mismatch");
+    for (int &v : ranks_)
+        a.narrow(v, "mise rank");
+    a.u64(nextIntervalAt_);
 }
 
 } // namespace mitts

@@ -39,10 +39,8 @@ class MiseScheduler : public RankedFrfcfs
 
     const SlowdownEstimator &estimator() const { return *est_; }
 
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
-
   protected:
+    void checkpoint(ckpt::Archive &a) override;
     int rankOf(CoreId core) const override { return ranks_[core]; }
 
   private:

@@ -68,41 +68,27 @@ class SlowdownEstimator
 
     /** Checkpoint epoch bookkeeping and rate estimates. */
     void
-    saveState(ckpt::Writer &w) const
+    checkpoint(ckpt::Archive &a)
     {
-        w.i64(measuredCore_);
-        w.u64(epochStart_);
-        w.vecU64(epochServiced_);
-        w.vecU64(lastStall_);
-        w.vecF64(aloneRate_);
-        w.vecF64(sharedRate_);
-        w.vecF64(slowdown_);
-    }
-
-    void
-    loadState(ckpt::Reader &r)
-    {
-        measuredCore_ = static_cast<CoreId>(r.i64());
-        epochStart_ = r.u64();
-        epochServiced_ = r.vecU64();
-        lastStall_ = r.vecU64();
-        aloneRate_ = r.vecF64();
-        sharedRate_ = r.vecF64();
-        slowdown_ = r.vecF64();
-        if (epochServiced_.size() != numCores_ ||
-            lastStall_.size() != numCores_ ||
-            aloneRate_.size() != numCores_ ||
-            sharedRate_.size() != numCores_ ||
-            slowdown_.size() != numCores_) {
-            throw ckpt::Error(
+        a.narrow(measuredCore_, "estimator measured core");
+        a.u64(epochStart_);
+        a.vecU64(epochServiced_);
+        a.vecU64(lastStall_);
+        a.vecF64(aloneRate_);
+        a.vecF64(sharedRate_);
+        a.vecF64(slowdown_);
+        a.check(epochServiced_.size() == numCores_ &&
+                    lastStall_.size() == numCores_ &&
+                    aloneRate_.size() == numCores_ &&
+                    sharedRate_.size() == numCores_ &&
+                    slowdown_.size() == numCores_,
                 "slowdown estimator core count mismatch");
-        }
     }
 
   private:
     void closeEpoch(Tick now);
 
-    // detlint-transient(fixed at construction; load validates counts against it)
+    // fixed at construction; restore validates counts against it
     unsigned numCores_;
     // detlint-transient(construction-time config; never mutated after build)
     SlowdownEstimatorConfig cfg_;

@@ -129,42 +129,23 @@ TcmScheduler::shuffle()
 }
 
 void
-TcmScheduler::saveState(ckpt::Writer &w) const
+TcmScheduler::checkpoint(ckpt::Archive &a)
 {
-    RankedFrfcfs::saveState(w);
-    const Random::State s = rng_.state();
-    for (std::uint64_t word : s)
-        w.u64(word);
-    w.vecU64(quantumRequests_);
-    w.vecU64(lastInstr_);
-    w.vecBool(inLatencyCluster_);
-    w.u64(ranks_.size());
-    for (int v : ranks_)
-        w.i64(v);
-    w.u64(nextQuantumAt_);
-    w.u64(nextShuffleAt_);
-}
-
-void
-TcmScheduler::loadState(ckpt::Reader &r)
-{
-    RankedFrfcfs::loadState(r);
-    Random::State s;
-    for (auto &word : s)
-        word = r.u64();
-    rng_.setState(s);
-    quantumRequests_ = r.vecU64();
-    lastInstr_ = r.vecU64();
-    inLatencyCluster_ = r.vecBool();
-    const std::uint64_t n = r.u64();
-    if (quantumRequests_.size() != numCores_ ||
-        lastInstr_.size() != numCores_ ||
-        inLatencyCluster_.size() != numCores_ || n != numCores_)
-        throw ckpt::Error("tcm core count mismatch");
-    for (auto &v : ranks_)
-        v = static_cast<int>(r.i64());
-    nextQuantumAt_ = r.u64();
-    nextShuffleAt_ = r.u64();
+    RankedFrfcfs::checkpoint(a);
+    a.rng(rng_);
+    a.vecU64(quantumRequests_);
+    a.vecU64(lastInstr_);
+    a.vecBool(inLatencyCluster_);
+    std::uint64_t n = ranks_.size();
+    a.u64(n);
+    a.check(quantumRequests_.size() == numCores_ &&
+                lastInstr_.size() == numCores_ &&
+                inLatencyCluster_.size() == numCores_ && n == numCores_,
+            "tcm core count mismatch");
+    for (int &v : ranks_)
+        a.narrow(v, "tcm rank");
+    a.u64(nextQuantumAt_);
+    a.u64(nextShuffleAt_);
 }
 
 } // namespace mitts

@@ -46,10 +46,8 @@ class TcmScheduler : public RankedFrfcfs
         return inLatencyCluster_;
     }
 
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
-
   protected:
+    void checkpoint(ckpt::Archive &a) override;
     int
     rankOf(CoreId core) const override
     {
@@ -60,7 +58,7 @@ class TcmScheduler : public RankedFrfcfs
     void recluster(Tick now);
     void shuffle();
 
-    // detlint-transient(fixed at construction; load validates counts against it)
+    // fixed at construction; restore validates counts against it
     unsigned numCores_;
     // detlint-transient(construction-time config; never mutated after build)
     TcmConfig cfg_;

@@ -24,8 +24,7 @@ namespace mitts
 
 namespace ckpt
 {
-class Reader;
-class Writer;
+class Archive;
 } // namespace ckpt
 
 /** Most bins a shaper supports (one 64-bit credit occupancy mask). */
@@ -204,14 +203,11 @@ struct BinConfig
 };
 
 /** Checkpoint a BinConfig: numBins, intervalLength, replenishPeriod,
- *  maxCredits (u64 each), the policy byte, then the credits. */
-void saveBinConfig(ckpt::Writer &w, const BinConfig &c);
-
-/** Read what saveBinConfig wrote. Throws ckpt::Error on 0 or more
- *  than kMaxBins bins, a zero interval length or replenish period,
- *  a maxCredits beyond 32 bits, an unknown policy byte, or a credit
- *  count other than numBins. */
-BinConfig loadBinConfig(ckpt::Reader &r);
+ *  maxCredits (u64 each), the policy byte, then the credits. Restore
+ *  throws ckpt::Error on 0 or more than kMaxBins bins, a zero
+ *  interval length or replenish period, a maxCredits beyond 32 bits,
+ *  an unknown policy byte, or a credit count other than numBins. */
+void binConfig(ckpt::Archive &a, BinConfig &c);
 
 } // namespace mitts
 

@@ -53,22 +53,15 @@ class CongestionController : public Clocked, public ckpt::Serializable
     double scale() const { return scale_; }
     stats::Group &statsGroup() { return stats_; }
 
+  protected:
     /** Checkpoint the broadcast scale and check schedule. Shapers
      *  save their own congestion scale, so no re-apply on restore. */
     void
-    saveState(ckpt::Writer &w) const override
+    checkpoint(ckpt::Archive &a) override
     {
-        w.f64(scale_);
-        w.u64(nextCheckAt_);
-        ckpt::saveGroup(w, stats_);
-    }
-
-    void
-    loadState(ckpt::Reader &r) override
-    {
-        scale_ = r.f64();
-        nextCheckAt_ = r.u64();
-        ckpt::loadGroup(r, stats_);
+        a.f64(scale_);
+        a.u64(nextCheckAt_);
+        a.group(stats_);
     }
 
   private:

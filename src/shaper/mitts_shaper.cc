@@ -22,34 +22,26 @@ BinConfig::toString() const
 }
 
 void
-saveBinConfig(ckpt::Writer &w, const BinConfig &c)
+binConfig(ckpt::Archive &a, BinConfig &c)
 {
-    w.u64(c.spec.numBins);
-    w.u64(c.spec.intervalLength);
-    w.u64(c.spec.replenishPeriod);
-    w.u64(c.spec.maxCredits);
-    w.u8(static_cast<std::uint8_t>(c.spec.policy));
-    w.vecU32(c.credits);
-}
-
-BinConfig
-loadBinConfig(ckpt::Reader &r)
-{
-    const std::uint64_t bins = r.u64();
-    BinSpec spec;
-    spec.intervalLength = r.u64();
-    spec.replenishPeriod = r.u64();
-    const std::uint64_t max_credits = r.u64();
-    const std::uint8_t policy = r.u8();
-    std::vector<std::uint32_t> credits = r.vecU32();
+    std::uint64_t bins = c.spec.numBins;
+    std::uint64_t max_credits = c.spec.maxCredits;
+    std::uint8_t policy = static_cast<std::uint8_t>(c.spec.policy);
+    a.u64(bins);
+    a.u64(c.spec.intervalLength);
+    a.u64(c.spec.replenishPeriod);
+    a.u64(max_credits);
+    a.u8(policy);
+    a.vecU32(c.credits);
+    if (a.saving())
+        return;
     if (bins == 0 || bins > kMaxBins)
         throw ckpt::Error("bin config: " + std::to_string(bins) +
                           " bins (want 1.." + std::to_string(kMaxBins) +
                           ")");
-    if (spec.intervalLength == 0)
-        throw ckpt::Error("bin config: zero interval length");
-    if (spec.replenishPeriod == 0)
-        throw ckpt::Error("bin config: zero replenish period");
+    a.check(c.spec.intervalLength != 0, "bin config: zero interval length");
+    a.check(c.spec.replenishPeriod != 0,
+            "bin config: zero replenish period");
     if (max_credits > UINT32_MAX)
         throw ckpt::Error("bin config: maxCredits " +
                           std::to_string(max_credits) +
@@ -57,15 +49,15 @@ loadBinConfig(ckpt::Reader &r)
     if (policy > static_cast<std::uint8_t>(ReplenishPolicy::Rolling))
         throw ckpt::Error("bin config: unknown replenish policy " +
                           std::to_string(policy));
-    if (credits.size() != bins)
+    if (c.credits.size() != bins)
         throw ckpt::Error("bin config: " +
-                          std::to_string(credits.size()) +
+                          std::to_string(c.credits.size()) +
                           " credits for " + std::to_string(bins) +
                           " bins");
-    spec.numBins = static_cast<unsigned>(bins);
-    spec.maxCredits = static_cast<std::uint32_t>(max_credits);
-    spec.policy = static_cast<ReplenishPolicy>(policy);
-    return BinConfig(spec, std::move(credits));
+    c.spec.numBins = static_cast<unsigned>(bins);
+    c.spec.maxCredits = static_cast<std::uint32_t>(max_credits);
+    c.spec.policy = static_cast<ReplenishPolicy>(policy);
+    c.clamp();
 }
 
 MittsShaper::MittsShaper(std::string name, const BinConfig &cfg,
@@ -431,88 +423,35 @@ MittsShaper::hardwareStateBytes() const
     return (bin_bits + counters_bits + pending_bits + 7) / 8;
 }
 
-namespace
-{
-
-/** Serialize an unordered u64-keyed map sorted by key. */
-template <typename V, typename WriteV>
 void
-saveSortedMap(ckpt::Writer &w,
-              const std::unordered_map<std::uint64_t, V> &m,
-              WriteV write_value)
-{
-    std::vector<std::uint64_t> keys;
-    keys.reserve(m.size());
-    for (const auto &[k, v] : m)
-        keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    w.u64(keys.size());
-    for (std::uint64_t k : keys) {
-        w.u64(k);
-        write_value(m.at(k));
-    }
-}
-
-} // namespace
-
-void
-MittsShaper::saveState(ckpt::Writer &w) const
+MittsShaper::checkpoint(ckpt::Archive &a)
 {
     // The live BinConfig: setConfig (the GA, phase switcher) mutates
     // it mid-run, so it is state, not configuration.
-    saveBinConfig(w, cfg_);
-    w.b(enabled_);
-    w.vecU32(credits_);
-    w.vecU32(effCredits_);
-    w.vecU64(rollingAcc_);
-    w.f64(congestionScale_);
-    w.u64(nextReplenishAt_);
-    w.u64(lastReplenishAt_);
-    w.u64(lastIssueAt_);
-    saveSortedMap(w, pendingBin_,
-                  [&w](unsigned bin) { w.u64(bin); });
-    saveSortedMap(w, pendingStamp_, [&w](Tick t) { w.u64(t); });
-    w.u64(lastLlcMissStamp_);
-    w.u64(throttleStart_);
-    ckpt::saveGroup(w, stats_);
-}
-
-void
-MittsShaper::loadState(ckpt::Reader &r)
-{
-    cfg_ = loadBinConfig(r);
+    binConfig(a, cfg_);
     const unsigned bins = cfg_.spec.numBins;
-    enabled_ = r.b();
-    credits_ = r.vecU32();
-    effCredits_ = r.vecU32();
-    rollingAcc_ = r.vecU64();
-    if (credits_.size() != bins || effCredits_.size() != bins ||
-        rollingAcc_.size() != bins)
-        throw ckpt::Error("shaper bin count mismatch");
-    for (std::uint64_t acc : rollingAcc_) {
-        if (acc >= cfg_.spec.replenishPeriod)
-            throw ckpt::Error("shaper rolling remainder out of range");
-    }
-    rebuildCreditMask();
-    congestionScale_ = r.f64();
-    nextReplenishAt_ = r.u64();
-    lastReplenishAt_ = r.u64();
-    lastIssueAt_ = r.u64();
-    pendingBin_.clear();
-    const std::uint64_t nb = r.u64();
-    for (std::uint64_t i = 0; i < nb; ++i) {
-        const std::uint64_t k = r.u64();
-        pendingBin_[k] = static_cast<unsigned>(r.u64());
-    }
-    pendingStamp_.clear();
-    const std::uint64_t ns = r.u64();
-    for (std::uint64_t i = 0; i < ns; ++i) {
-        const std::uint64_t k = r.u64();
-        pendingStamp_[k] = r.u64();
-    }
-    lastLlcMissStamp_ = r.u64();
-    throttleStart_ = r.u64();
-    ckpt::loadGroup(r, stats_);
+    a.b(enabled_);
+    a.vecU32(credits_);
+    a.vecU32(effCredits_);
+    a.vecU64(rollingAcc_);
+    a.check(credits_.size() == bins && effCredits_.size() == bins &&
+                rollingAcc_.size() == bins,
+            "shaper bin count mismatch");
+    for (std::uint64_t acc : rollingAcc_)
+        a.check(acc < cfg_.spec.replenishPeriod,
+                "shaper rolling remainder out of range");
+    if (!a.saving())
+        rebuildCreditMask();
+    a.f64(congestionScale_);
+    a.u64(nextReplenishAt_);
+    a.u64(lastReplenishAt_);
+    a.u64(lastIssueAt_);
+    a.sortedMap(pendingBin_,
+                [&](unsigned &bin) { a.narrow(bin, "shaper pending bin"); });
+    a.sortedMap(pendingStamp_, [&](Tick &t) { a.u64(t); });
+    a.u64(lastLlcMissStamp_);
+    a.u64(throttleStart_);
+    a.group(stats_);
 }
 
 } // namespace mitts

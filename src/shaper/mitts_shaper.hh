@@ -116,10 +116,10 @@ class MittsShaper : public SourceGate, public ckpt::Serializable
      */
     std::size_t hardwareStateBytes() const;
 
+  protected:
     /** Checkpoint credits, replenish schedule, pending tables, the
      *  live BinConfig (it changes under setConfig) and stats. */
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+    void checkpoint(ckpt::Archive &a) override;
 
   private:
     /** Largest-interval non-empty bin with index <= `bin`, or -1. */
@@ -149,7 +149,7 @@ class MittsShaper : public SourceGate, public ckpt::Serializable
      * One word covers every bin: a shaper has at most kMaxBins (64;
      * the paper uses 10).
      */
-    // detlint-transient(derived cache; rebuilt by rebuildCreditMask() on load)
+    // derived cache; rebuilt by rebuildCreditMask() on restore
     std::uint64_t creditMask_ = 0;
     /** Rolling policy: per-bin accrued fraction of the next credit,
      *  in units of 1/T_r credit (always < T_r). */

@@ -83,20 +83,13 @@ class StaticRateGate : public SourceGate, public ckpt::Serializable
     double interval() const { return interval_; }
     stats::Group &statsGroup() { return stats_; }
 
+  protected:
     void
-    saveState(ckpt::Writer &w) const override
+    checkpoint(ckpt::Archive &a) override
     {
-        w.u64(bucket_.level);
-        w.u64(bucket_.last);
-        ckpt::saveGroup(w, stats_);
-    }
-
-    void
-    loadState(ckpt::Reader &r) override
-    {
-        bucket_.level = r.u64();
-        bucket_.last = r.u64();
-        ckpt::loadGroup(r, stats_);
+        a.u64(bucket_.level);
+        a.u64(bucket_.last);
+        a.group(stats_);
     }
 
   private:

@@ -97,7 +97,7 @@ class EventHandler
  * does; events scheduled later append behind them. So every list
  * holds its tick's events in scheduling order. Same-tick ordering
  * survives a checkpoint round trip: events are saved in drain order
- * and re-queued in that order on load.
+ * and re-queued in that order on restore.
  *
  * Scheduling into the past — `when` strictly below the tick of the
  * most recent runDue() — is a modelling bug: the event's cycle has
@@ -210,54 +210,54 @@ class EventQueue
         return base_ + ((b - start) & kMask);
     }
 
-    /** Serialize pending events in drain order. */
-    void
-    saveState(ckpt::Writer &w) const
-    {
-        std::vector<std::pair<Tick, const EventDesc *>> ordered;
-        ordered.reserve(size());
-        for (Tick k = 0; k < kWindow; ++k) {
-            const Tick when = base_ + k;
-            for (std::uint32_t n = head_[bucket(when)]; n != kNil;
-                 n = nodes_[n].next)
-                ordered.emplace_back(when, &nodes_[n].desc);
-        }
-        std::vector<Far> far = far_;
-        std::sort(far.begin(), far.end(), [](const Far &a, const Far &b) {
-            return Far::later(b, a);
-        });
-        for (const Far &f : far)
-            ordered.emplace_back(f.when, &nodes_[f.node].desc);
-
-        w.u64(horizon_);
-        w.u64(ordered.size());
-        for (const auto &[when, d] : ordered) {
-            w.u64(when);
-            w.u8(static_cast<std::uint8_t>(d->kind));
-            w.request(d->req);
-        }
-    }
-
     /**
-     * Restore into an empty queue: every descriptor is checked (kind
-     * byte, tick not below the saved horizon, then the handler's
-     * validate()) and re-queued through schedule() in drain order.
-     * Throws ckpt::Error on the first bad one.
+     * Checkpoint pending events in drain order. Restore requires an
+     * empty queue: every descriptor is checked (kind byte, tick not
+     * below the saved horizon, then the handler's validate()) and
+     * re-queued through schedule() in drain order. Throws ckpt::Error
+     * on the first bad one.
      */
     void
-    loadState(ckpt::Reader &r)
+    checkpoint(ckpt::Archive &a)
     {
-        MITTS_ASSERT(empty(),
-                     "EventQueue::loadState on a non-empty queue");
-        horizon_ = r.u64();
-        base_ = horizon_;
-        farSeq_ = 0;
-        const std::uint64_t n = r.u64();
+        std::vector<std::pair<Tick, EventDesc *>> ordered;
+        if (a.saving()) {
+            ordered.reserve(size());
+            for (Tick k = 0; k < kWindow; ++k) {
+                const Tick when = base_ + k;
+                for (std::uint32_t n = head_[bucket(when)]; n != kNil;
+                     n = nodes_[n].next)
+                    ordered.emplace_back(when, &nodes_[n].desc);
+            }
+            std::vector<Far> far = far_;
+            std::sort(far.begin(), far.end(),
+                      [](const Far &x, const Far &y) {
+                          return Far::later(y, x);
+                      });
+            for (const Far &f : far)
+                ordered.emplace_back(f.when, &nodes_[f.node].desc);
+        } else {
+            MITTS_ASSERT(empty(),
+                         "EventQueue restore into a non-empty queue");
+        }
+
+        a.u64(horizon_);
+        std::uint64_t n = ordered.size();
+        a.u64(n);
+        if (!a.saving()) {
+            base_ = horizon_;
+            farSeq_ = 0;
+        }
         for (std::uint64_t i = 0; i < n; ++i) {
-            const Tick when = r.u64();
-            const std::uint8_t kind = r.u8();
-            EventDesc d;
-            d.req = r.request();
+            EventDesc restored;
+            auto [when, d] = a.saving() ? ordered[i]
+                                        : std::pair{Tick{0}, &restored};
+            std::uint8_t kind = static_cast<std::uint8_t>(d->kind);
+            a.u64(when);
+            a.u8(kind);
+            a.request(d->req);
+            if (a.saving())
+                continue;
             if (kind < EventDesc::kFirstKind ||
                 kind > EventDesc::kLastKind)
                 throw ckpt::Error("event kind " + std::to_string(kind) +
@@ -267,10 +267,10 @@ class EventQueue
                     "event at tick " + std::to_string(when) +
                     " lies before the checkpoint's drain horizon " +
                     std::to_string(horizon_));
-            d.kind = static_cast<EventDesc::Kind>(kind);
+            d->kind = static_cast<EventDesc::Kind>(kind);
             if (handler_)
-                handler_->validate(d);
-            schedule(when, std::move(d));
+                handler_->validate(*d);
+            schedule(when, std::move(*d));
         }
     }
 
@@ -339,18 +339,18 @@ class EventQueue
     }
 
     std::vector<Node> nodes_;
-    // detlint-transient(calendar storage; rebuilt by schedule() on load)
+    // calendar storage; rebuilt by schedule() on restore
     std::uint32_t free_ = kNil;
-    // detlint-transient(calendar storage; rebuilt by schedule() on load)
+    // calendar storage; rebuilt by schedule() on restore
     std::array<std::uint32_t, kWindow> head_;
-    // detlint-transient(calendar storage; rebuilt by schedule() on load)
+    // detlint-transient(calendar storage; rebuilt by schedule() on restore)
     std::array<std::uint32_t, kWindow> tail_;
-    // detlint-transient(calendar storage; rebuilt by schedule() on load)
+    // detlint-transient(calendar storage; rebuilt by schedule() on restore)
     std::array<std::uint64_t, kWords> occupied_{};
-    // detlint-transient(calendar storage; rebuilt by schedule() on load)
+    // calendar storage; rebuilt by schedule() on restore
     std::size_t inWindow_ = 0;
     std::vector<Far> far_;
-    // detlint-transient(far events are renumbered 0..n-1 on load)
+    // far events are renumbered 0..n-1 on restore
     std::uint64_t farSeq_ = 0;
     /** First tick of the window; equals horizon_ between drains. */
     Tick base_ = 0;

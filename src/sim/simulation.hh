@@ -97,17 +97,10 @@ class Simulation
      * diagnostics meaningful.
      */
     void
-    saveState(ckpt::Writer &w) const
+    checkpoint(ckpt::Archive &a)
     {
-        w.u64(now_);
-        w.u64(cyclesSkipped_);
-    }
-
-    void
-    loadState(ckpt::Reader &r)
-    {
-        now_ = r.u64();
-        cyclesSkipped_ = r.u64();
+        a.u64(now_);
+        a.u64(cyclesSkipped_);
     }
 
     /** Run for `cycles` more cycles. */

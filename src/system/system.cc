@@ -410,113 +410,8 @@ void
 System::saveCheckpoint(const std::string &path)
 {
     ckpt::Writer w;
-
-    w.beginSection("system");
-    w.u64(numCores_);
-    w.vecU64(appCompletedAt_);
-    w.endSection();
-
-    w.beginSection("sim");
-    sim_.saveState(w);
-    w.endSection();
-
-    w.beginSection("traces");
-    w.u64(traces_.size());
-    for (const auto &t : traces_)
-        t->saveState(w);
-    w.endSection();
-
-    w.beginSection("cores");
-    for (const auto &c : cores_)
-        c->saveState(w);
-    w.endSection();
-
-    w.beginSection("l1s");
-    for (const auto &l1 : l1s_)
-        l1->saveState(w);
-    w.endSection();
-
-    w.beginSection("llc");
-    llc_->saveState(w);
-    w.endSection();
-
-    if (noc_) {
-        w.beginSection("noc");
-        noc_->saveState(w);
-        w.endSection();
-    }
-
-    w.beginSection("sched");
-    sched_->saveState(w);
-    w.endSection();
-
-    if (extraClocked_) {
-        auto *s =
-            dynamic_cast<ckpt::Serializable *>(extraClocked_.get());
-        MITTS_ASSERT(s, "extra clocked component not serializable");
-        w.beginSection(schedulerCliName(SchedulerKind::MemGuard));
-        s->saveState(w);
-        w.endSection();
-    }
-
-    if (congestionCtrl_) {
-        w.beginSection("congestion");
-        congestionCtrl_->saveState(w);
-        w.endSection();
-    }
-
-    // Shapers may be shared across cores (per-app); save each unique
-    // instance once, in first-core order, which is deterministic.
-    w.beginSection("shapers");
-    {
-        std::vector<const MittsShaper *> seen;
-        for (const auto *sh : shapers_) {
-            if (sh && std::find(seen.begin(), seen.end(), sh) ==
-                          seen.end())
-                seen.push_back(sh);
-        }
-        w.u64(seen.size());
-        for (const auto *sh : seen)
-            sh->saveState(w);
-    }
-    w.endSection();
-
-    w.beginSection("gates");
-    {
-        std::vector<const StaticRateGate *> gates;
-        for (const auto *g : staticGates_) {
-            if (g)
-                gates.push_back(g);
-        }
-        w.u64(gates.size());
-        for (const auto *g : gates)
-            g->saveState(w);
-    }
-    w.endSection();
-
-    // The memory controller serializes its DRAM channels inline and
-    // references in-flight requests, which alias entries interned by
-    // the LLC section above — order matters.
-    w.beginSection("mc");
-    mc_->saveState(w);
-    w.endSection();
-
-    w.beginSection("events");
-    sim_.events().saveState(w);
-    w.endSection();
-
-    if (telemetry_) {
-        w.beginSection("telemetry");
-        telemetry_->saveState(w);
-        w.endSection();
-    }
-
-    for (const auto &[name, s] : ckptExtras_) {
-        w.beginSection("extra." + name);
-        s->saveState(w);
-        w.endSection();
-    }
-
+    ckpt::Archive a(w);
+    walkSections(a);
     w.writeFile(path, checkpointHash());
 }
 
@@ -529,36 +424,17 @@ System::restoreCheckpoint(const std::string &path)
 
     ckpt::Reader r = ckpt::Reader::fromFile(path, checkpointHash());
     r.bindPool(pool_);
+    ckpt::Archive a(r);
+    walkSections(a);
+    if (r.remainingSections() != 0)
+        throw ckpt::Error(
+            "checkpoint holds sections this system cannot restore "
+            "(component registration mismatch)");
+}
 
-    r.beginSection("system");
-    if (r.u64() != numCores_)
-        throw ckpt::Error("checkpoint core count mismatch");
-    appCompletedAt_ = r.vecU64();
-    if (appCompletedAt_.size() != cfg_.apps.size())
-        throw ckpt::Error("checkpoint app count mismatch");
-    r.endSection();
-
-    r.beginSection("sim");
-    sim_.loadState(r);
-    r.endSection();
-
-    r.beginSection("traces");
-    if (r.u64() != traces_.size())
-        throw ckpt::Error("checkpoint trace count mismatch");
-    for (const auto &t : traces_)
-        t->loadState(r);
-    r.endSection();
-
-    r.beginSection("cores");
-    for (const auto &c : cores_)
-        c->loadState(r);
-    r.endSection();
-
-    r.beginSection("l1s");
-    for (const auto &l1 : l1s_)
-        l1->loadState(r);
-    r.endSection();
-
+void
+System::checkMshrWaiters() const
+{
     // A fill completes every load its MSHR lists; each must still
     // wait in its core's window, or the fill would abort the run.
     for (unsigned c = 0; c < numCores_; ++c) {
@@ -575,89 +451,117 @@ System::restoreCheckpoint(const std::string &path)
             }
         }
     }
+}
 
-    r.beginSection("llc");
-    llc_->loadState(r);
-    r.endSection();
+void
+System::walkSections(ckpt::Archive &a)
+{
+    a.beginSection("system");
+    a.expect(numCores_, "checkpoint core count mismatch");
+    a.vecU64(appCompletedAt_);
+    a.check(appCompletedAt_.size() == cfg_.apps.size(),
+            "checkpoint app count mismatch");
+    a.endSection();
+
+    a.beginSection("sim");
+    sim_.checkpoint(a);
+    a.endSection();
+
+    a.beginSection("traces");
+    a.expect(traces_.size(), "checkpoint trace count mismatch");
+    for (const auto &t : traces_)
+        a.state(*t);
+    a.endSection();
+
+    a.beginSection("cores");
+    for (const auto &c : cores_)
+        a.state(*c);
+    a.endSection();
+
+    a.beginSection("l1s");
+    for (const auto &l1 : l1s_)
+        a.state(*l1);
+    a.endSection();
+
+    if (!a.saving())
+        checkMshrWaiters();
+
+    a.beginSection("llc");
+    a.state(*llc_);
+    a.endSection();
 
     if (noc_) {
-        r.beginSection("noc");
-        noc_->loadState(r);
-        r.endSection();
+        a.beginSection("noc");
+        a.state(*noc_);
+        a.endSection();
     }
 
-    r.beginSection("sched");
-    sched_->loadState(r);
-    r.endSection();
+    a.beginSection("sched");
+    a.state(*sched_);
+    a.endSection();
 
     if (extraClocked_) {
         auto *s =
             dynamic_cast<ckpt::Serializable *>(extraClocked_.get());
         MITTS_ASSERT(s, "extra clocked component not serializable");
-        r.beginSection(schedulerCliName(SchedulerKind::MemGuard));
-        s->loadState(r);
-        r.endSection();
+        a.beginSection(schedulerCliName(SchedulerKind::MemGuard));
+        a.state(*s);
+        a.endSection();
     }
 
     if (congestionCtrl_) {
-        r.beginSection("congestion");
-        congestionCtrl_->loadState(r);
-        r.endSection();
+        a.beginSection("congestion");
+        a.state(*congestionCtrl_);
+        a.endSection();
     }
 
-    r.beginSection("shapers");
-    {
-        std::vector<MittsShaper *> seen;
-        for (auto *sh : shapers_) {
-            if (sh && std::find(seen.begin(), seen.end(), sh) ==
-                          seen.end())
-                seen.push_back(sh);
-        }
-        if (r.u64() != seen.size())
-            throw ckpt::Error("checkpoint shaper count mismatch");
-        for (auto *sh : seen)
-            sh->loadState(r);
+    // Shapers may be shared across cores (per-app); walk each unique
+    // instance once, in first-core order, which is deterministic.
+    a.beginSection("shapers");
+    std::vector<MittsShaper *> shapers;
+    for (auto *sh : shapers_) {
+        if (sh &&
+            std::find(shapers.begin(), shapers.end(), sh) == shapers.end())
+            shapers.push_back(sh);
     }
-    r.endSection();
+    a.expect(shapers.size(), "checkpoint shaper count mismatch");
+    for (auto *sh : shapers)
+        a.state(*sh);
+    a.endSection();
 
-    r.beginSection("gates");
-    {
-        std::vector<StaticRateGate *> gates;
-        for (auto *g : staticGates_) {
-            if (g)
-                gates.push_back(g);
-        }
-        if (r.u64() != gates.size())
-            throw ckpt::Error("checkpoint gate count mismatch");
-        for (auto *g : gates)
-            g->loadState(r);
+    a.beginSection("gates");
+    std::vector<StaticRateGate *> gates;
+    for (auto *g : staticGates_) {
+        if (g)
+            gates.push_back(g);
     }
-    r.endSection();
+    a.expect(gates.size(), "checkpoint gate count mismatch");
+    for (auto *g : gates)
+        a.state(*g);
+    a.endSection();
 
-    r.beginSection("mc");
-    mc_->loadState(r);
-    r.endSection();
+    // The memory controller walks its DRAM channels inline and
+    // references in-flight requests, which alias entries interned by
+    // the LLC section above — order matters.
+    a.beginSection("mc");
+    mc_->checkpoint(a);
+    a.endSection();
 
-    r.beginSection("events");
-    sim_.events().loadState(r);
-    r.endSection();
+    a.beginSection("events");
+    sim_.events().checkpoint(a);
+    a.endSection();
 
     if (telemetry_) {
-        r.beginSection("telemetry");
-        telemetry_->loadState(r);
-        r.endSection();
+        a.beginSection("telemetry");
+        telemetry_->checkpoint(a);
+        a.endSection();
     }
 
     for (const auto &[name, s] : ckptExtras_) {
-        r.beginSection("extra." + name);
-        s->loadState(r);
-        r.endSection();
+        a.beginSection("extra." + name);
+        a.state(*s);
+        a.endSection();
     }
-
-    if (r.remainingSections() != 0)
-        throw ckpt::Error(
-            "checkpoint holds sections this system cannot restore "
-            "(component registration mismatch)");
 }
 
 } // namespace mitts

@@ -170,6 +170,11 @@ class System : public AppMonitor, public EventHandler
 
   private:
     void buildScheduler();
+    /** The one walk over every section, shared by save and restore. */
+    void walkSections(ckpt::Archive &a);
+    /** Restore-side: every load a valid L1 MSHR will complete waits
+     *  for a fill in its core's window (throws ckpt::Error). */
+    void checkMshrWaiters() const;
 
     SystemConfig cfg_;
     unsigned numCores_ = 0;

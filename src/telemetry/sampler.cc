@@ -132,36 +132,18 @@ TimeSeriesSampler::flush()
 }
 
 void
-TimeSeriesSampler::saveState(ckpt::Writer &w) const
+TimeSeriesSampler::checkpoint(ckpt::Archive &a)
 {
-    w.u64(probes_.size());
-    for (const auto &p : probes_)
-        w.str(p.name);
-    w.vecF64(lastValue_);
-    w.u64(ringCount_);
-    for (std::size_t i = 0; i < ringCount_; ++i) {
-        w.u64(ring_[i].start);
-        w.u64(ring_[i].end);
-        w.vecF64(ring_[i].values);
-    }
-    w.u64(windowStart_);
-    w.u64(nextBoundary_);
-    w.u64(windowsClosed_);
-    w.b(headerWritten_);
-}
-
-void
-TimeSeriesSampler::loadState(ckpt::Reader &r)
-{
-    const std::uint64_t n = r.u64();
-    std::vector<std::string> names(n);
-    for (auto &name : names)
-        name = r.str();
-    if (n == 0) {
+    std::uint64_t n = probes_.size();
+    a.u64(n);
+    std::vector<std::string> names;
+    for (std::uint64_t i = 0; i < n; ++i)
+        a.str(a.saving() ? probes_[i].name : names.emplace_back());
+    if (!a.saving() && n == 0) {
         // Never synced in the saved run; stay unsynced here too.
         probes_.clear();
         seenVersion_ = ~0ull;
-    } else {
+    } else if (!a.saving()) {
         // The rebuilt components must have registered the identical
         // probe set; adopt it and verify by name.
         probes_ = registry_.snapshot();
@@ -175,21 +157,21 @@ TimeSeriesSampler::loadState(ckpt::Reader &r)
         }
         seenVersion_ = registry_.version();
     }
-    lastValue_ = r.vecF64();
-    if (lastValue_.size() != n)
-        throw ckpt::Error("telemetry delta base count mismatch");
-    ringCount_ = static_cast<std::size_t>(r.u64());
-    if (ringCount_ > ring_.size())
-        throw ckpt::Error("telemetry ring overflow in checkpoint");
+    a.vecF64(lastValue_);
+    a.check(lastValue_.size() == n,
+            "telemetry delta base count mismatch");
+    a.narrow(ringCount_, "telemetry ring count");
+    a.check(ringCount_ <= ring_.size(),
+            "telemetry ring overflow in checkpoint");
     for (std::size_t i = 0; i < ringCount_; ++i) {
-        ring_[i].start = r.u64();
-        ring_[i].end = r.u64();
-        ring_[i].values = r.vecF64();
+        a.u64(ring_[i].start);
+        a.u64(ring_[i].end);
+        a.vecF64(ring_[i].values);
     }
-    windowStart_ = r.u64();
-    nextBoundary_ = r.u64();
-    windowsClosed_ = static_cast<std::size_t>(r.u64());
-    headerWritten_ = r.b();
+    a.u64(windowStart_);
+    a.u64(nextBoundary_);
+    a.narrow(windowsClosed_, "telemetry window count");
+    a.b(headerWritten_);
 }
 
 } // namespace mitts::telemetry

@@ -64,14 +64,14 @@ class TimeSeriesSampler : public Clocked, public ckpt::Serializable
     std::size_t windowsClosed() const { return windowsClosed_; }
     Tick interval() const { return opts_.interval; }
 
+  protected:
     /**
      * Checkpoint the window machinery: cached probe names (identity
      * check on restore — the rebuilt system must register the same
      * probe set), per-probe delta bases and the unflushed ring.
      * The already-flushed CSV text is the Telemetry hub's problem.
      */
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+    void checkpoint(ckpt::Archive &a) override;
 
   private:
     struct Window
@@ -94,7 +94,7 @@ class TimeSeriesSampler : public Clocked, public ckpt::Serializable
     /** Cached probe set; refreshed only when the registry version
      *  moves (the lock-free common case). */
     std::vector<Probe> probes_;
-    // detlint-transient(registry-version cache; re-derived on load)
+    // registry-version cache; re-derived on restore
     std::uint64_t seenVersion_ = ~0ull;
     /** Previous raw value per cached probe (delta base; counters
      *  start from 0 so window sums equal aggregates). */

@@ -66,14 +66,15 @@ Telemetry::finalize(Tick now)
 }
 
 void
-Telemetry::saveState(ckpt::Writer &w)
+Telemetry::checkpoint(ckpt::Archive &a)
 {
     // CSV emitted so far. The file sink is read back from disk so the
-    // hub never has to keep a shadow copy on the hot path.
+    // hub never has to keep a shadow copy on the hot path; restore
+    // replays it into the sink (the constructor truncated the file).
     std::string csv;
-    if (opts_.outDir.empty()) {
+    if (a.saving() && opts_.outDir.empty()) {
         csv = memCsv_.str();
-    } else {
+    } else if (a.saving()) {
         csvFile_.flush();
         std::ifstream in(csvPath_, std::ios::binary);
         if (!in)
@@ -83,32 +84,21 @@ Telemetry::saveState(ckpt::Writer &w)
         buf << in.rdbuf();
         csv = buf.str();
     }
-    w.str(csv);
-    sampler_->saveState(w);
-    w.b(trace_ != nullptr);
-    if (trace_)
-        trace_->saveState(w);
-}
-
-void
-Telemetry::loadState(ckpt::Reader &r)
-{
-    const std::string csv = r.str();
-    if (opts_.outDir.empty()) {
+    a.str(csv);
+    if (!a.saving() && opts_.outDir.empty()) {
         memCsv_.str(csv);
         memCsv_.seekp(0, std::ios::end);
-    } else {
-        // The constructor truncated the file; replay the prefix.
+    } else if (!a.saving()) {
         csvFile_ << csv;
         csvFile_.flush();
     }
-    sampler_->loadState(r);
-    const bool had_trace = r.b();
-    if (had_trace != (trace_ != nullptr))
-        throw ckpt::Error(
+    a.state(*sampler_);
+    bool had_trace = trace_ != nullptr;
+    a.b(had_trace);
+    a.check(had_trace == (trace_ != nullptr),
             "telemetry trace-event configuration mismatch");
     if (trace_)
-        trace_->loadState(r);
+        a.state(*trace_);
 }
 
 } // namespace mitts::telemetry

@@ -77,8 +77,7 @@ class Telemetry
      * (read back from the file sink, or from the in-memory stream),
      * the sampler's ring/delta state and the buffered trace events.
      */
-    void saveState(ckpt::Writer &w);
-    void loadState(ckpt::Reader &r);
+    void checkpoint(ckpt::Archive &a);
 
   private:
     TelemetryOptions opts_;
@@ -86,7 +85,7 @@ class Telemetry
     ProbeRegistry registry_;
     std::ostringstream memCsv_;
     std::ofstream csvFile_;
-    // detlint-transient(derived output path fixed at construction)
+    // derived output path fixed at construction
     std::string csvPath_;
     // detlint-transient(derived output path fixed at construction)
     std::string tracePath_;

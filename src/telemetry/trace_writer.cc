@@ -86,48 +86,31 @@ TraceEventWriter::intern(const std::string &s)
 }
 
 void
-TraceEventWriter::saveState(ckpt::Writer &w) const
-{
-    w.u64(tracks_.size());
-    for (const auto &t : tracks_)
-        w.str(t);
-    w.u64(events_.size());
-    for (const Event &e : events_) {
-        w.i64(e.track);
-        w.b(e.isDuration);
-        w.str(e.category);
-        w.str(e.name);
-        w.u64(e.begin);
-        w.u64(e.end);
-    }
-    w.u64(dropped_);
-}
-
-void
-TraceEventWriter::loadState(ckpt::Reader &r)
+TraceEventWriter::checkpoint(ckpt::Archive &a)
 {
     // Tracks were re-registered by the rebuilt components; the saved
     // list must match so buffered event track ids stay valid.
-    const std::uint64_t ntracks = r.u64();
-    if (ntracks != tracks_.size())
-        throw ckpt::Error("trace writer track count mismatch");
-    for (auto &t : tracks_) {
-        if (r.str() != t)
-            throw ckpt::Error("trace writer track name mismatch");
+    a.expect(tracks_.size(), "trace writer track count mismatch");
+    for (const auto &t : tracks_) {
+        std::string name = t;
+        a.str(name);
+        a.check(name == t, "trace writer track name mismatch");
     }
-    events_.clear();
-    const std::uint64_t nevents = r.u64();
-    for (std::uint64_t i = 0; i < nevents; ++i) {
-        Event e;
-        e.track = static_cast<int>(r.i64());
-        e.isDuration = r.b();
-        e.category = intern(r.str());
-        e.name = intern(r.str());
-        e.begin = r.u64();
-        e.end = r.u64();
-        events_.push_back(e);
-    }
-    dropped_ = static_cast<std::size_t>(r.u64());
+    a.seq(events_, [&](Event &e) {
+        a.narrow(e.track, "trace event track");
+        a.b(e.isDuration);
+        std::string category = a.saving() ? e.category : "";
+        std::string name = a.saving() ? e.name : "";
+        a.str(category);
+        a.str(name);
+        if (!a.saving()) {
+            e.category = intern(category);
+            e.name = intern(name);
+        }
+        a.u64(e.begin);
+        a.u64(e.end);
+    });
+    a.narrow(dropped_, "trace writer dropped count");
 }
 
 } // namespace mitts::telemetry

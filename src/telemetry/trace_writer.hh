@@ -60,11 +60,11 @@ class TraceEventWriter : public ckpt::Serializable
     std::size_t events() const { return events_.size(); }
     std::size_t dropped() const { return dropped_; }
 
+  protected:
     /** Checkpoint buffered events. Category/name literals are
      *  re-homed into an intern pool on restore (the original
      *  pointers belonged to the saving process). */
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+    void checkpoint(ckpt::Archive &a) override;
 
   private:
     struct Event
@@ -88,7 +88,7 @@ class TraceEventWriter : public ckpt::Serializable
     std::size_t dropped_ = 0;
     /** Stable storage for restored event strings (std::set nodes
      *  never move). */
-    // detlint-transient(string intern arena; rebuilt by intern() during load)
+    // string intern arena; rebuilt by intern() during restore
     std::set<std::string> internPool_;
 };
 

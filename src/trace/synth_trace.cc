@@ -192,48 +192,23 @@ SyntheticTrace::next()
 }
 
 void
-SyntheticTrace::saveState(ckpt::Writer &w) const
+SyntheticTrace::checkpoint(ckpt::Archive &a)
 {
-    const Random::State s = rng_.state();
-    for (std::uint64_t word : s)
-        w.u64(word);
-    w.b(inBurst_);
-    w.u64(burstOps_);
-    w.u64(calmOps_);
-    w.u64(streamBlock_);
-    w.u64(streamLeft_);
-    w.u64(streamOpInBlock_);
-    w.u64(warmBlock_);
-    w.u64(warmLeft_);
-    w.f64(cachedMemFrac_);
-    w.f64(cachedInvLog_);
-    w.u64(phaseIdx_);
-    w.u64(opsInPhase_);
-}
-
-void
-SyntheticTrace::loadState(ckpt::Reader &r)
-{
-    Random::State s;
-    for (auto &word : s)
-        word = r.u64();
-    rng_.setState(s);
-    inBurst_ = r.b();
-    burstOps_ = static_cast<std::uint32_t>(r.u64());
-    calmOps_ = static_cast<std::uint32_t>(r.u64());
-    streamBlock_ = r.u64();
-    streamLeft_ = static_cast<unsigned>(r.u64());
-    streamOpInBlock_ = static_cast<unsigned>(r.u64());
-    warmBlock_ = r.u64();
-    warmLeft_ = static_cast<unsigned>(r.u64());
-    cachedMemFrac_ = r.f64();
-    cachedInvLog_ = r.f64();
-    phaseIdx_ = static_cast<std::size_t>(r.u64());
-    opsInPhase_ = r.u64();
-    if (phaseIdx_ != 0 &&
-        (profile_.phases.empty() ||
-         phaseIdx_ >= profile_.phases.size()))
-        throw ckpt::Error("synthetic trace phase out of range");
+    a.rng(rng_);
+    a.b(inBurst_);
+    a.narrow(burstOps_, "synthetic trace burst length");
+    a.narrow(calmOps_, "synthetic trace calm length");
+    a.u64(streamBlock_);
+    a.narrow(streamLeft_, "synthetic trace stream length");
+    a.narrow(streamOpInBlock_, "synthetic trace stream offset");
+    a.u64(warmBlock_);
+    a.narrow(warmLeft_, "synthetic trace warm length");
+    a.f64(cachedMemFrac_);
+    a.f64(cachedInvLog_);
+    a.narrow(phaseIdx_, "synthetic trace phase");
+    a.u64(opsInPhase_);
+    a.check(phaseIdx_ == 0 || phaseIdx_ < profile_.phases.size(),
+            "synthetic trace phase out of range");
 }
 
 } // namespace mitts

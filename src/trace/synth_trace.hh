@@ -33,15 +33,15 @@ class SyntheticTrace : public TraceSource
     TraceOp next() override;
     void reset() override;
 
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+  protected:
+    void checkpoint(ckpt::Archive &a) override;
 
   private:
     const PhaseSpec &currentPhase() const;
     void advancePhase();
     Addr randomBlock(Addr region_bytes);
 
-    // detlint-transient(construction config; phase cursor is the mutable state)
+    // construction config; phase cursor is the mutable state
     AppProfile profile_;
     // detlint-transient(construction-time config; never mutated after build)
     Addr base_;
@@ -95,22 +95,16 @@ class ScriptedTrace : public TraceSource
 
     void reset() override { idx_ = 0; }
 
+  protected:
     void
-    saveState(ckpt::Writer &w) const override
+    checkpoint(ckpt::Archive &a) override
     {
-        w.u64(idx_);
-    }
-
-    void
-    loadState(ckpt::Reader &r) override
-    {
-        idx_ = static_cast<std::size_t>(r.u64());
-        if (idx_ >= ops_.size())
-            throw ckpt::Error("scripted trace cursor out of range");
+        a.narrow(idx_, "scripted trace cursor");
+        a.check(idx_ < ops_.size(), "scripted trace cursor out of range");
     }
 
   private:
-    // detlint-transient(trace content injected at construction; only the cursor is mutable)
+    // trace content injected at construction; only the cursor is mutable
     std::vector<TraceOp> ops_;
     std::size_t idx_ = 0;
 };

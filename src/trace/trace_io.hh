@@ -57,22 +57,17 @@ class FileTrace : public TraceSource
 
     std::size_t size() const { return ops_.size(); }
 
+  protected:
     void
-    saveState(ckpt::Writer &w) const override
+    checkpoint(ckpt::Archive &a) override
     {
-        w.u64(idx_);
-    }
-
-    void
-    loadState(ckpt::Reader &r) override
-    {
-        idx_ = static_cast<std::size_t>(r.u64());
-        if (idx_ >= ops_.size())
-            throw ckpt::Error("file trace cursor out of range");
+        a.narrow(idx_, "file trace cursor");
+        a.check(idx_ < ops_.size(), "file trace cursor out of range");
     }
 
   private:
-    // detlint-transient(trace content injected at construction; only the cursor is mutable)
+    /** Trace content injected at construction; only the cursor is
+     *  mutable. */
     std::vector<TraceOp> ops_;
     std::size_t idx_ = 0;
 };

@@ -39,22 +39,16 @@ class TraceSource : public ckpt::Serializable
     /** Restart the stream from the beginning (deterministic). */
     virtual void reset() = 0;
 
+  protected:
     /**
      * Checkpoint the stream cursor. Every source the CLI can build
-     * overrides both; exotic test doubles that don't are caught at
+     * overrides it; exotic test doubles that don't are caught at
      * save time rather than producing a broken image.
      */
     void
-    saveState(ckpt::Writer &w) const override
+    checkpoint(ckpt::Archive &a) override
     {
-        (void)w;
-        throw ckpt::Error("trace source is not checkpointable");
-    }
-
-    void
-    loadState(ckpt::Reader &r) override
-    {
-        (void)r;
+        (void)a;
         throw ckpt::Error("trace source is not checkpointable");
     }
 };

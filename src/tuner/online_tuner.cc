@@ -326,76 +326,45 @@ OnlineTuner::tick(Tick now)
 }
 
 void
-OnlineTuner::saveState(ckpt::Writer &w) const
+OnlineTuner::checkpoint(ckpt::Archive &a)
 {
-    const Random::State s = rng_.state();
-    for (std::uint64_t word : s)
-        w.u64(word);
-    w.u8(static_cast<std::uint8_t>(state_));
-    w.u64(epochEndsAt_);
-    w.u64(nextPhaseAt_);
-    w.u64(configPhases_);
-    w.i64(boostedCore_);
-    w.vecF64(aloneRate_);
-    w.vecU64(epochStartCompleted_);
-    w.vecU64(epochStartStall_);
-    w.vecU64(epochStartInstr_);
-    w.u64(epochStartTick_);
-    w.u64(measureEpochsLeft_);
-    w.u64(population_.size());
-    for (const Genome &g : population_)
-        w.vecU32(g);
-    w.vecF64(fitness_);
-    w.u64(childIdx_);
-    w.u64(generation_);
-    w.vecU32(bestGenome_);
-    w.f64(bestFitness_);
-    w.u64(best_.size());
-    for (const BinConfig &c : best_)
-        saveBinConfig(w, c);
-    w.u64(overheadApplied_);
-    w.u64(configPhaseStart_);
-    w.u64(configSwitches_);
-    w.f64(lastAvgSlowdown_);
-    w.f64(lastMaxSlowdown_);
-}
-
-void
-OnlineTuner::loadState(ckpt::Reader &r)
-{
-    Random::State s;
-    for (auto &word : s)
-        word = r.u64();
-    rng_.setState(s);
-    state_ = static_cast<State>(r.u8());
-    epochEndsAt_ = r.u64();
-    nextPhaseAt_ = r.u64();
-    configPhases_ = static_cast<unsigned>(r.u64());
-    boostedCore_ = static_cast<CoreId>(r.i64());
-    aloneRate_ = r.vecF64();
-    epochStartCompleted_ = r.vecU64();
-    epochStartStall_ = r.vecU64();
-    epochStartInstr_ = r.vecU64();
-    epochStartTick_ = r.u64();
-    measureEpochsLeft_ = static_cast<unsigned>(r.u64());
-    population_.clear();
-    const std::uint64_t pop = r.u64();
-    for (std::uint64_t i = 0; i < pop; ++i)
-        population_.push_back(r.vecU32());
-    fitness_ = r.vecF64();
-    childIdx_ = static_cast<std::size_t>(r.u64());
-    generation_ = static_cast<unsigned>(r.u64());
-    bestGenome_ = r.vecU32();
-    bestFitness_ = r.f64();
-    best_.clear();
-    const std::uint64_t nbest = r.u64();
-    for (std::uint64_t i = 0; i < nbest; ++i)
-        best_.push_back(loadBinConfig(r));
-    overheadApplied_ = r.u64();
-    configPhaseStart_ = r.u64();
-    configSwitches_ = r.u64();
-    lastAvgSlowdown_ = r.f64();
-    lastMaxSlowdown_ = r.f64();
+    a.rng(rng_);
+    a.enumByte(state_, State::Run, "online tuner state");
+    a.u64(epochEndsAt_);
+    a.u64(nextPhaseAt_);
+    a.narrow(configPhases_, "online tuner config-phase count");
+    a.narrow(boostedCore_, "online tuner boosted core");
+    a.check(boostedCore_ == kNoCore ||
+                (boostedCore_ >= 0 &&
+                 static_cast<unsigned>(boostedCore_) < numCores_),
+            "online tuner boosted core is not a core");
+    a.vecF64(aloneRate_);
+    a.vecU64(epochStartCompleted_);
+    a.vecU64(epochStartStall_);
+    a.vecU64(epochStartInstr_);
+    a.check(aloneRate_.size() == numCores_ &&
+                epochStartCompleted_.size() == numCores_ &&
+                epochStartStall_.size() == numCores_ &&
+                epochStartInstr_.size() == numCores_,
+            "online tuner per-core state does not match the core count");
+    a.u64(epochStartTick_);
+    a.narrow(measureEpochsLeft_, "online tuner measure-epoch count");
+    a.seq(population_, [&](Genome &g) { a.vecU32(g); });
+    a.vecF64(fitness_);
+    a.check(fitness_.size() == population_.size(),
+            "online tuner fitness count does not match its population");
+    a.narrow(childIdx_, "online tuner child index");
+    a.check(population_.empty() || childIdx_ < population_.size(),
+            "online tuner child index is outside its population");
+    a.narrow(generation_, "online tuner generation");
+    a.vecU32(bestGenome_);
+    a.f64(bestFitness_);
+    a.seq(best_, [&](BinConfig &c) { binConfig(a, c); });
+    a.u64(overheadApplied_);
+    a.u64(configPhaseStart_);
+    a.u64(configSwitches_);
+    a.f64(lastAvgSlowdown_);
+    a.f64(lastMaxSlowdown_);
 }
 
 } // namespace mitts

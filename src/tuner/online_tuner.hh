@@ -94,10 +94,10 @@ class OnlineTuner : public Clocked, public ckpt::Serializable
      */
     void registerTelemetry(telemetry::Telemetry &t);
 
+  protected:
     /** Checkpoint the whole runtime: GA population, measurement
      *  bookkeeping, phase state and the RNG stream. */
-    void saveState(ckpt::Writer &w) const override;
-    void loadState(ckpt::Reader &r) override;
+    void checkpoint(ckpt::Archive &a) override;
 
   private:
     enum class State
@@ -118,7 +118,6 @@ class OnlineTuner : public Clocked, public ckpt::Serializable
     // detlint-transient(construction-time config; never mutated after build)
     OnlineTunerOptions opts_;
     Random rng_;
-    // detlint-transient(construction-time config; never mutated after build)
     unsigned numCores_;
     // detlint-transient(bin-spec template fixed at construction)
     BinSpec spec_;

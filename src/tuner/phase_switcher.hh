@@ -57,25 +57,15 @@ class PhaseSwitcher : public Clocked, public ckpt::Serializable
 
     std::uint64_t switches() const { return switches_; }
 
+  protected:
     void
-    saveState(ckpt::Writer &w) const override
+    checkpoint(ckpt::Archive &a) override
     {
-        w.u64(applied_.size());
-        for (unsigned p : applied_)
-            w.u64(p);
-        w.u64(nextCheckAt_);
-        w.u64(switches_);
-    }
-
-    void
-    loadState(ckpt::Reader &r) override
-    {
-        if (r.u64() != applied_.size())
-            throw ckpt::Error("phase switcher schedule mismatch");
-        for (auto &p : applied_)
-            p = static_cast<unsigned>(r.u64());
-        nextCheckAt_ = r.u64();
-        switches_ = r.u64();
+        a.expect(applied_.size(), "phase switcher schedule mismatch");
+        for (unsigned &p : applied_)
+            a.narrow(p, "phase switcher phase");
+        a.u64(nextCheckAt_);
+        a.u64(switches_);
     }
 
   private:

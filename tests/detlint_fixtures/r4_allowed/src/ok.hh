@@ -1,5 +1,5 @@
-// R4 fixture: the complete contract (nextWakeTick + saveState +
-// loadState declared), plus a stateless subclass that is exempt.
+// R4 fixture: the complete contract (nextWakeTick + checkpoint
+// declared), plus a stateless subclass that is exempt.
 #ifndef FIXTURE_R4_OK_HH
 #define FIXTURE_R4_OK_HH
 
@@ -7,8 +7,7 @@ using Tick = unsigned long long;
 
 namespace ckpt
 {
-class Writer;
-class Reader;
+class Archive;
 } // namespace ckpt
 
 class Clocked
@@ -24,8 +23,7 @@ class Prefetcher : public Clocked
   public:
     void tick(Tick now) override { lastAt_ = now; }
     Tick nextWakeTick(Tick now) const override { return now + 4; }
-    void saveState(ckpt::Writer &w) const;
-    void loadState(ckpt::Reader &r);
+    void checkpoint(ckpt::Archive &a);
 
   private:
     Tick lastAt_ = 0;

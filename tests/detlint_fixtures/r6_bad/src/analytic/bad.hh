@@ -14,8 +14,7 @@ class Clocked
     virtual ~Clocked() = default;
     virtual void tick(Tick now) = 0;
     virtual Tick nextWakeTick(Tick now) const { return now + 1; }
-    virtual void saveState() {}
-    virtual void loadState() {}
+    virtual void checkpoint() {}
 };
 
 class SteppedModel : public Clocked
@@ -23,8 +22,7 @@ class SteppedModel : public Clocked
   public:
     void tick(Tick now) override { lastAt_ = now; }
     Tick nextWakeTick(Tick now) const override { return now + 1; }
-    void saveState() override { (void)lastAt_; }
-    void loadState() override { lastAt_ = 0; }
+    void checkpoint() override { lastAt_ = 0; }
 
   private:
     Tick lastAt_ = 0;

@@ -10,7 +10,7 @@ struct Config
 };
 
 // R9 clean: `bins_` is covered through one level of delegation
-// (saveBins/loadBins), `seed_` carries a reasoned transient, and the
+// (walkBins), `seed_` carries a reasoned transient, and the
 // static/const/ref/ptr/mutable members are exempt by flag.
 class Gadget
 {
@@ -18,35 +18,17 @@ class Gadget
     explicit Gadget(Config &cfg) : cfg_(cfg) {}
 
     void
-    saveState(ckpt::Writer &w) const
+    checkpoint(ckpt::Archive &a)
     {
-        w.u64(val_);
-        saveBins(w);
-    }
-
-    void
-    loadState(ckpt::Reader &r)
-    {
-        val_ = r.u64();
-        loadBins(r);
+        a.u64(val_);
+        walkBins(a);
     }
 
   private:
     void
-    saveBins(ckpt::Writer &w) const
+    walkBins(ckpt::Archive &a)
     {
-        w.u64(bins_.size());
-        for (std::uint32_t b : bins_)
-            w.u32(b);
-    }
-
-    void
-    loadBins(ckpt::Reader &r)
-    {
-        const std::uint64_t n = r.u64();
-        bins_.clear();
-        for (std::uint64_t i = 0; i < n; ++i)
-            bins_.push_back(r.u32());
+        a.seq(bins_, [&](std::uint32_t &b) { a.u32(b); });
     }
 
     static constexpr unsigned kMax_ = 64;

@@ -3,31 +3,22 @@
 
 #include <cstdint>
 
-// R9: checkpoint field coverage. `missing_` appears in neither
-// saveState nor loadState, `onlySaved_` only in saveState; the
-// transient on `staleTr_` is stale (the field IS covered) and the
-// one above the comment block is attached to no field at all.
+// R9: checkpoint field coverage. `missing_` never appears in the
+// checkpoint walk; the transient on `staleTr_` is stale (the field IS
+// walked) and the one above the comment block is attached to no field
+// at all.
 struct Widget
 {
     void
-    saveState(ckpt::Writer &w) const
+    checkpoint(ckpt::Archive &a)
     {
-        w.u32(covered_);
-        w.u64(ticks_ + onlySaved_);
-        w.f64(staleTr_);
-    }
-
-    void
-    loadState(ckpt::Reader &r)
-    {
-        covered_ = r.u32();
-        ticks_ = r.u64();
-        staleTr_ = r.f64();
+        a.u32(covered_);
+        a.u64(ticks_);
+        a.f64(staleTr_);
     }
 
     std::uint32_t covered_ = 0;
     std::uint64_t ticks_ = 0;
-    std::uint64_t onlySaved_ = 0;
     std::uint64_t missing_ = 0;
     // detlint-transient(stale: the field below is fully covered)
     double staleTr_ = 0.0;

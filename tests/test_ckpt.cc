@@ -17,9 +17,12 @@
 
 #include "base/random.hh"
 #include "ckpt/config_hash.hh"
+#include "ckpt_edit.hh"
 #include "ckpt/serialize.hh"
 #include "sim/event_queue.hh"
 #include "system/system.hh"
+#include "trace/synth_trace.hh"
+#include "trace/trace_io.hh"
 #include "tuner/online_tuner.hh"
 #include "tuner/phase_switcher.hh"
 
@@ -27,6 +30,8 @@ namespace mitts
 {
 namespace
 {
+
+using namespace ckpt_edit;
 
 std::string
 tmpPath(const std::string &name)
@@ -418,18 +423,20 @@ eventWithId(SeqNum id)
 
 /** Save `q`, restore into a fresh queue firing into `into`. */
 std::unique_ptr<EventQueue>
-roundTrip(const EventQueue &q, EventHandler &into)
+roundTrip(EventQueue &q, EventHandler &into)
 {
     ckpt::Writer w;
     w.beginSection("events");
-    q.saveState(w);
+    ckpt::Archive save(w);
+    q.checkpoint(save);
     w.endSection();
     auto q2 = std::make_unique<EventQueue>();
     q2->setHandler(&into);
     ckpt::Reader r(w.finish(0), 0);
     r.bindPool(eventPool());
     r.beginSection("events");
-    q2->loadState(r);
+    ckpt::Archive load(r);
+    q2->checkpoint(load);
     r.endSection();
     return q2;
 }
@@ -512,7 +519,8 @@ TEST(CkptEventQueue, OutOfRangeKindByteFailsLoad)
         q.setHandler(&h);
         ckpt::Reader r(oneEventPayload(10, 12, kind), 0);
         r.beginSection("events");
-        EXPECT_THROW(q.loadState(r), ckpt::Error) << int{kind};
+        ckpt::Archive load(r);
+        EXPECT_THROW(q.checkpoint(load), ckpt::Error) << int{kind};
         EXPECT_TRUE(q.empty());
     }
 }
@@ -683,77 +691,6 @@ TEST(CkptSystem, RejectsCorruptedCheckpointFile)
 //
 // The image is re-sealed after each edit (both CRC layers), so these
 // reach the component checks behind the format's own validation.
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
-std::uint64_t
-getLe(const std::string &s, std::size_t off, std::size_t n)
-{
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        v |= std::uint64_t{static_cast<unsigned char>(s[off + i])}
-             << (8 * i);
-    return v;
-}
-
-void
-putLe(std::string &s, std::size_t off, std::uint64_t v, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        s[off + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-
-/** Apply `edit` to section `name`'s payload in checkpoint image
- *  `img` and re-seal the section and file CRCs. */
-std::string
-editSection(const std::string &img, const std::string &name,
-            const std::function<void(std::string &)> &edit)
-{
-    const std::size_t header = sizeof(ckpt::kMagic) + 4 + 8;
-    std::string out = img.substr(0, header + 4);
-    const std::size_t count = getLe(img, header, 4);
-    std::size_t off = header + 4;
-    bool found = false;
-    for (std::size_t s = 0; s < count; ++s) {
-        const std::size_t name_len = getLe(img, off, 4);
-        const std::string sec = img.substr(off + 4, name_len);
-        const std::size_t len = getLe(img, off + 4 + name_len, 8);
-        std::string payload = img.substr(off + 12 + name_len, len);
-        if (sec == name) {
-            edit(payload);
-            found = true;
-        }
-        std::string rec(12 + name_len, '\0');
-        putLe(rec, 0, name_len, 4);
-        rec.replace(4, name_len, sec);
-        putLe(rec, 4 + name_len, payload.size(), 8);
-        out += rec + payload;
-        std::string crc(4, '\0');
-        putLe(crc, 0, ckpt::crc32(payload.data(), payload.size()), 4);
-        out += crc;
-        off += 12 + name_len + len + 4;
-    }
-    EXPECT_TRUE(found) << "no section " << name;
-    std::string crc(4, '\0');
-    putLe(crc, 0, ckpt::crc32(out.data(), out.size()), 4);
-    return out + crc;
-}
-
-/** The payload of section `name` in a finished Writer image. */
-std::string
-payloadOf(const std::string &img, const std::string &name)
-{
-    std::string payload;
-    editSection(img, name, [&](std::string &p) { payload = p; });
-    return payload;
-}
 
 class CkptCorrupt : public ::testing::Test
 {
@@ -941,6 +878,139 @@ TEST_F(CkptCorrupt, RejectsShaperWithMoreThan64Bins)
     expectRejected(withShaperField(8, 8, 65), "65 bins (want 1..64)");
 }
 
+// After core 0's window (u64 count, 17 bytes per entry): u64 nextSeq,
+// f64 budget, three u64 seq/stall fields, the pending op (u64 gap,
+// two flags, u64 addr), its flag at +58, the u64 gap left at +59,
+// u64 stallUntil, the halted flag and the idle byte at +76. An idle
+// byte past the last state and a gap wider than its 32-bit field used
+// to be accepted (the gap silently truncated).
+TEST_F(CkptCorrupt, RejectsOutOfRangeCoreIdleState)
+{
+    const std::size_t tail =
+        8 + 17 * getLe(payloadOf(image_, "cores"), 0, 8);
+    expectRejected(editSection(image_, "cores",
+                               [&](std::string &p) {
+                                   putLe(p, tail + 76, 9, 1);
+                               }),
+                   "core idle state 9 out of range");
+}
+
+TEST_F(CkptCorrupt, RejectsCoreGapWiderThan32Bits)
+{
+    const std::size_t tail =
+        8 + 17 * getLe(payloadOf(image_, "cores"), 0, 8);
+    expectRejected(editSection(image_, "cores",
+                               [&](std::string &p) {
+                                   putLe(p, tail + 59, 1ull << 32, 8);
+                               }),
+                   "core gap 4294967296 out of range");
+}
+
+// --- corrupted online-tuner state -------------------------------------
+//
+// The tuner indexes its per-core vectors by the boosted core and its
+// population by the child index; a restored index outside them used
+// to be accepted and read out of bounds at the next epoch end.
+
+class CkptCorruptTuner : public ::testing::Test
+{
+  protected:
+    CkptCorruptTuner()
+    {
+        cfg_ = SystemConfig::multiProgram({"gcc", "mcf"});
+        cfg_.gate = GateKind::Mitts;
+        cfg_.seed = 404;
+        opts_.epochLength = 500;
+        opts_.population = 3;
+        opts_.generations = 2;
+    }
+
+    ~CkptCorruptTuner() override { std::filesystem::remove(path_); }
+
+    /** The tuner's section payload after `cycles`, saved to path_. */
+    std::string
+    saveAt(Tick cycles)
+    {
+        System a(cfg_);
+        OnlineTuner t(a, opts_);
+        a.sim().add(&t);
+        a.addCheckpointExtra("tuner", &t);
+        a.run(cycles);
+        a.saveCheckpoint(path_);
+        image_ = readFile(path_);
+        return payloadOf(image_, "extra.tuner");
+    }
+
+    /** Restoring image_ with its tuner section edited by `edit`
+     *  throws one ckpt::Error whose message contains `what`. */
+    void
+    expectRejected(const std::function<void(std::string &)> &edit,
+                   const std::string &what)
+    {
+        writeFile(path_, editSection(image_, "extra.tuner", edit));
+        System b(cfg_);
+        OnlineTuner t(b, opts_);
+        b.sim().add(&t);
+        b.addCheckpointExtra("tuner", &t);
+        try {
+            b.restoreCheckpoint(path_);
+            ADD_FAILURE() << "restore accepted a tuner with: " << what;
+        } catch (const ckpt::Error &e) {
+            EXPECT_NE(std::string(e.what()).find(what),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // The tuner section: four u64 RNG words, the u8 state at 32, three
+    // u64s, the i64 boosted core at 57, then four per-core vectors,
+    // two u64s, the population (u64 count, then each genome as a u32
+    // vector) and the fitness vector before the u64 child index.
+    static constexpr std::size_t kStateAt = 32;
+    static constexpr std::size_t kBoostedAt = 57;
+
+    static std::size_t
+    childIdxAt(const std::string &p)
+    {
+        std::size_t off = kBoostedAt + 8;
+        for (int v = 0; v < 4; ++v)
+            off += 8 + 8 * getLe(p, off, 8);
+        off += 16;
+        const std::size_t pop = getLe(p, off, 8);
+        off += 8;
+        for (std::size_t g = 0; g < pop; ++g)
+            off += 8 + 4 * getLe(p, off, 8);
+        return off + 8 + 8 * getLe(p, off, 8);
+    }
+
+    SystemConfig cfg_;
+    OnlineTunerOptions opts_;
+    std::string path_ = tmpPath(
+        std::string("mitts_corrupt_tuner_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".ckpt");
+    std::string image_;
+};
+
+TEST_F(CkptCorruptTuner, RejectsBoostedCoreOutsideTheSystem)
+{
+    const std::string p = saveAt(700); // the second Measure epoch
+    ASSERT_EQ(getLe(p, kStateAt, 1), 0u) << "not mid-Measure";
+    ASSERT_EQ(getLe(p, kBoostedAt, 8), 1u);
+    expectRejected([](std::string &q) { putLe(q, kBoostedAt, 99, 8); },
+                   "online tuner boosted core is not a core");
+}
+
+TEST_F(CkptCorruptTuner, RejectsChildIndexOutsideThePopulation)
+{
+    const std::string p = saveAt(4'000); // OnlineTunerRidesAlong's cut
+    ASSERT_EQ(getLe(p, kStateAt, 1), 1u) << "not mid-Eval";
+    const std::size_t at = childIdxAt(p);
+    ASSERT_LT(getLe(p, at, 8), opts_.population);
+    expectRejected([&](std::string &q) { putLe(q, at, 99, 8); },
+                   "online tuner child index is outside its population");
+}
+
 // Restore then save at once must reproduce the image byte for byte:
 // every field the codec writes, it reads back unchanged.
 TEST(CkptSystem, ResaveAfterRestoreIsByteIdentical)
@@ -962,6 +1032,137 @@ TEST(CkptSystem, ResaveAfterRestoreIsByteIdentical)
     ASSERT_GT(img.size(), 64u);
     EXPECT_TRUE(img == readFile(second))
         << "re-saved image differs from the one it was restored from";
+    std::filesystem::remove(first);
+    std::filesystem::remove(second);
+}
+
+// Restore then save at once, for every class with a checkpoint walk:
+// the one walk runs both directions, so a saving() branch that drifts
+// from its restore branch re-saves a different image. Each row builds
+// one configuration, cuts it mid-run and demands the re-saved image be
+// the one restored.
+
+PhaseSchedule
+twoPhaseSchedule(const SystemConfig &cfg)
+{
+    BinConfig p0(cfg.binSpec), p1(cfg.binSpec);
+    p0.credits[0] = 9;
+    p1.credits[9] = 17;
+    PhaseSchedule s;
+    s.core = 0;
+    s.phaseInstructions = 3'000;
+    s.configs = {p0, p1};
+    return s;
+}
+
+/** A system plus, optionally, the online tuner and phase switcher
+ *  registered as checkpoint extras. */
+struct ResaveRig
+{
+    ResaveRig(const SystemConfig &cfg, bool extras) : sys(cfg)
+    {
+        if (!extras)
+            return;
+        OnlineTunerOptions topts;
+        topts.epochLength = 500;
+        topts.population = 3;
+        topts.generations = 2;
+        tuner = std::make_unique<OnlineTuner>(sys, topts);
+        sys.sim().add(tuner.get());
+        sys.addCheckpointExtra("tuner", tuner.get());
+        switcher = std::make_unique<PhaseSwitcher>(
+            "ps", sys, std::vector<PhaseSchedule>{twoPhaseSchedule(cfg)},
+            100);
+        sys.sim().add(switcher.get());
+        sys.addCheckpointExtra("phase-switcher", switcher.get());
+    }
+
+    System sys;
+    std::unique_ptr<OnlineTuner> tuner;
+    std::unique_ptr<PhaseSwitcher> switcher;
+};
+
+TEST(CkptSystem, ResaveIsByteIdenticalForEveryWalk)
+{
+    struct Row
+    {
+        std::string name;
+        SystemConfig cfg;
+        bool extras = false;
+    };
+    const SystemConfig mix = SystemConfig::multiProgram({"gcc", "mcf"});
+    std::vector<Row> rows;
+    // FST's gates and estimator, MISE's estimator, MemGuard's
+    // controller section and every scheduler's own state.
+    for (SchedulerKind k : allSchedulers()) {
+        Row r{"sched-" + std::string(schedulerName(k)), mix};
+        r.cfg.sched = k;
+        rows.push_back(r);
+    }
+    Row gate{"static-gate", mix};
+    gate.cfg.gate = GateKind::Static;
+    gate.cfg.staticIntervals = {200.0, 300.0};
+    rows.push_back(gate);
+    Row shared{"shared-app-shaper", SystemConfig{}};
+    shared.cfg.apps = {"x264"}; // four threads, phased profile
+    shared.cfg.gate = GateKind::Mitts;
+    shared.cfg.sharedShaperPerApp = true;
+    rows.push_back(shared);
+    Row rolling{"rolling", mix};
+    rolling.cfg.gate = GateKind::Mitts;
+    rolling.cfg.binSpec.policy = ReplenishPolicy::Rolling;
+    rows.push_back(rolling);
+    Row congestion{"congestion", mix};
+    congestion.cfg.gate = GateKind::Mitts;
+    congestion.cfg.congestionFeedback = true;
+    rows.push_back(congestion);
+    Row noc{"noc", mix};
+    noc.cfg.noc.enabled = true;
+    noc.cfg.noc.width = noc.cfg.noc.height = 2;
+    rows.push_back(noc);
+    // A two-window ring flushes CSV rows before the cut, so the
+    // restore replays a non-empty CSV prefix.
+    Row telemetry{"telemetry-trace-events", ckptConfig()};
+    telemetry.cfg.telemetry.ringWindows = 2;
+    rows.push_back(telemetry);
+    Row extras{"tuner-and-switcher", mix, true};
+    extras.cfg.gate = GateKind::Mitts;
+    rows.push_back(extras);
+    Row scripted{"scripted-trace", mix};
+    scripted.cfg.traceFactory = [](CoreId, unsigned, const AppProfile &,
+                                   Addr base, std::uint64_t, unsigned)
+        -> std::unique_ptr<TraceSource> {
+        return std::make_unique<ScriptedTrace>(std::vector<TraceOp>{
+            {3, false, false, base}, {0, true, true, base + 4096}});
+    };
+    rows.push_back(scripted);
+    Row file{"file-trace", mix};
+    file.cfg.traceFactory = [](CoreId, unsigned, const AppProfile &,
+                               Addr base, std::uint64_t, unsigned)
+        -> std::unique_ptr<TraceSource> {
+        std::vector<TraceOp> ops;
+        for (Addr i = 0; i < 64; ++i)
+            ops.push_back({2, i % 5 == 0, false, base + i * 8192});
+        return std::make_unique<FileTrace>(std::move(ops));
+    };
+    rows.push_back(file);
+
+    const std::string first = tmpPath("mitts_resave_row_a.ckpt");
+    const std::string second = tmpPath("mitts_resave_row_b.ckpt");
+    for (const Row &row : rows) {
+        ResaveRig a(row.cfg, row.extras);
+        a.sys.run(5'000);
+        a.sys.saveCheckpoint(first);
+
+        ResaveRig b(row.cfg, row.extras);
+        b.sys.restoreCheckpoint(first);
+        b.sys.saveCheckpoint(second);
+
+        const std::string img = readFile(first);
+        ASSERT_GT(img.size(), 64u) << row.name;
+        EXPECT_TRUE(img == readFile(second))
+            << row.name << ": re-saved image differs";
+    }
     std::filesystem::remove(first);
     std::filesystem::remove(second);
 }

@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "ckpt_edit.hh"
 #include "cloud/cloud_trace.hh"
 #include "cloud/engine.hh"
 #include "iaas/pricing.hh"
@@ -727,6 +729,78 @@ TEST(CloudEngineTest, RestoreRefusesSocketImageFromAnotherSave)
 
     fs::remove_all(early);
     fs::remove_all(late);
+}
+
+// Slot and record indices in cloud.mitts index the engine's tables
+// directly. Each must name a real record, tier, socket and slot, or
+// the restore fails with one ckpt::Error: a bad tier used to abort on
+// an uncaught std::out_of_range and a bad record to read out of
+// bounds. Returns the restore's error after `edit` is applied to
+// `section` of a mid-scenario save ("" when the image restores).
+std::string
+cloudRestoreError(const std::string &tag, const std::string &section,
+                  const std::function<void(std::string &)> &edit)
+{
+    namespace fs = std::filesystem;
+    const std::string dir =
+        (fs::temp_directory_path() / ("mitts_cloud_corrupt_" + tag))
+            .string();
+    fs::remove_all(dir);
+    CloudEngine saver(smallScenario());
+    saver.runUntil(50'000);
+    saver.saveCheckpoint(dir);
+    const std::string path = dir + "/cloud.mitts";
+    ckpt_edit::writeFile(
+        path, ckpt_edit::editSection(ckpt_edit::readFile(path), section,
+                                     edit));
+    std::string error;
+    try {
+        CloudEngine restored(smallScenario());
+        restored.restoreCheckpoint(dir);
+    } catch (const ckpt::Error &e) {
+        error = e.what();
+    }
+    fs::remove_all(dir);
+    return error;
+}
+
+// The "slots" section: per slot an i64 record, u64 departAt, u64 tier.
+TEST(CloudEngineTest, RestoreRejectsSlotTier)
+{
+    const std::string error =
+        cloudRestoreError("slot_tier", "slots", [](std::string &p) {
+            ckpt_edit::putLe(p, 16, 99, 8);
+        });
+    EXPECT_NE(error.find("slot 0.0 tier 99 is out of range"),
+              std::string::npos)
+        << error;
+}
+
+TEST(CloudEngineTest, RestoreRejectsSlotRecord)
+{
+    const std::string error =
+        cloudRestoreError("slot_record", "slots", [](std::string &p) {
+            ckpt_edit::putLe(p, 0, 1'000'000, 8);
+        });
+    EXPECT_NE(error.find("slot 0.0 record 1000000 is out of range"),
+              std::string::npos)
+        << error;
+}
+
+// The "records" section: u64 count, then per record two flags, the
+// reason string (u64 length + bytes), i64 socket, u64 slot,
+// admittedAt, departedAt and the u64 final tier.
+TEST(CloudEngineTest, RestoreRejectsRecordTier)
+{
+    const std::string error =
+        cloudRestoreError("record_tier", "records", [](std::string &p) {
+            ASSERT_GT(ckpt_edit::getLe(p, 0, 8), 0u);
+            const std::size_t tier_at = 50 + ckpt_edit::getLe(p, 10, 8);
+            ckpt_edit::putLe(p, tier_at, 99, 8);
+        });
+    EXPECT_NE(error.find("record 0 tier 99 is out of range"),
+              std::string::npos)
+        << error;
 }
 
 // Restore then save at once must reproduce every image byte for byte.

@@ -31,11 +31,11 @@ check_case() {
 }
 
 for d in r1_bad r2_bad r3_bad r4_bad r6_bad r7_bad r8_bad \
-         r9_bad r10_bad stale_allow; do
+         r9_bad stale_allow; do
     check_case "$FIXTURES/$d" 1
 done
 for d in r1_allowed r2_allowed r3_allowed r4_allowed r5_allowed \
-         r6_allowed r7_allowed r8_allowed r9_allowed r10_allowed; do
+         r6_allowed r7_allowed r8_allowed r9_allowed; do
     check_case "$FIXTURES/$d" 0
 done
 

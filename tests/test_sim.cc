@@ -408,14 +408,16 @@ TEST(EventQueue, MatchesReferenceQueueUnderRandomOperations)
             // survive the renumbering.
             ckpt::Writer w;
             w.beginSection("events");
-            q->saveState(w);
+            ckpt::Archive save(w);
+            q->checkpoint(save);
             w.endSection();
             ckpt::Reader rd(w.finish(0), 0);
             rd.bindPool(testPool());
             rd.beginSection("events");
             q = std::make_unique<EventQueue>();
             q->setHandler(&handler);
-            q->loadState(rd);
+            ckpt::Archive load(rd);
+            q->checkpoint(load);
             rd.endSection();
         }
         ASSERT_EQ(q->size(), ref.size()) << "op " << op;

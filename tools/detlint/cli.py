@@ -3,9 +3,8 @@
 Passes:
   lexical   R1-R4, R6-R8 pattern rules per file (see rules/lexical.py)
   compile   R5 standalone-header checks (g++ -fsyntax-only)
-  semantic  R9-R10 over an extracted class/field/method model
-            (checkpoint coverage, save/load symmetry; see
-            rules/semantic.py)
+  semantic  R9 over an extracted class/field/method model
+            (checkpoint field coverage; see rules/semantic.py)
 
 Suppressions:
   // detlint-allow(Rn[,Rm]): reason   -- this line or the line below
@@ -136,8 +135,8 @@ def _lexical_pass(root, path, raw, raw_lines, report):
 
 
 def _build_class_models(root, digests):
-    """Resolve every declared class against the method bodies and
-    free helpers found across all digested files."""
+    """Resolve every declared class against the method bodies found
+    across all digested files."""
     models = {}  # class name -> [ClassModel]
     for path in sorted(digests):
         for cd in digests[path]["classes"]:
@@ -168,13 +167,6 @@ def _build_class_models(root, digests):
             owner.add_body(facts)
 
     flat = [m for lst in models.values() for m in lst]
-    for m in flat:
-        involved = {m.path}
-        for bodies in m.bodies.values():
-            involved.update(f["path"] for f in bodies)
-        for path in sorted(involved):
-            for ff in digests.get(path, {}).get("free", ()):
-                m.free[ff["name"]] = ff["ops"]
     flat.sort(key=lambda m: (os.path.relpath(m.path, root),
                              m.line, m.name))
     return flat
@@ -284,7 +276,6 @@ def run_scan(root, paths, allow_path, cxx, no_r5, cache, out=None):
             raw_findings.append(Finding(rule, path, line, message))
 
         semantic.check_r9(model, report, transient_for)
-        semantic.check_r10(model, report)
 
     # --------------------------------------------- suppressions
 

@@ -12,31 +12,15 @@ Each scanned file is reduced to a JSON-serializable *digest*:
 declared classes (name, bases, fields with flags and annotation
 lines, declared method names) plus every method *body* found in the
 file (in-class or out-of-line), pre-chewed into the facts the
-semantic rules need -- referenced identifiers, same-class calls,
-written fields, and, for bodies that
-take a ckpt::Writer/Reader, the serialization op sequence.  Digests
-are what the incremental cache stores, so warm runs skip parsing
-entirely.
-
-Op-sequence grammar (R10):
-    {"t":"p","k":<kind>}                  primitive put/get (w.u64 ...)
-    {"t":"s"}                             .saveState(w) / .loadState(r)
-    {"t":"g"}                             ckpt::saveGroup / loadGroup
-    {"t":"loop","body":[...],"head":str}  for/while containing ops
-    {"t":"opt","then":[...],"els":[...]}  if/else containing ops
-    {"t":"call","name":str,"args":[...]}  helper call taking the w/r
-Each element carries "line".  Calls resolvable to a free-function
-digest are spliced by the rule; unresolvable calls are transparent
-(replaced by the ops found in their arguments).
+semantic rule needs -- referenced identifiers and same-class calls.
+Digests are what the incremental cache stores, so warm runs skip
+parsing entirely.
 """
 
 import os
 import re
 
 from lexer import strip_code, balanced_span, line_of
-
-PRIM_KINDS = ("u8", "u32", "u64", "i64", "f64", "b", "str",
-              "vecU32", "vecU64", "vecF64", "vecBool", "request")
 
 KEYWORDS = frozenset((
     "if", "else", "for", "while", "do", "switch", "case", "return",
@@ -50,7 +34,7 @@ KEYWORDS = frozenset((
     "mutable", "friend", "void", "bool", "int", "unsigned", "char",
     "short", "long", "float", "double", "true", "false", "nullptr",
     "this", "assert", "MITTS_ASSERT",
-) + PRIM_KINDS)
+))
 
 CLASS_RE = re.compile(
     r"\b(class|struct)\s+([A-Za-z_]\w*)\s*(?:final\s*)?"
@@ -58,188 +42,13 @@ CLASS_RE = re.compile(
 FIELD_NAME_RE = re.compile(r"\b([A-Za-z_]\w*_)\s*(?=[,;={\[])")
 QUAL_DEF_RE = re.compile(
     r"\b([A-Za-z_]\w*)\s*::\s*(~?[A-Za-z_]\w*)\s*\(")
-FREE_FUNC_RE = re.compile(
-    r"\b([A-Za-z_]\w*)\s*\(([^()]*?(?:Writer|Reader)\s*&[^()]*?)\)"
-    r"\s*\{", re.S)
 IDENT_RE = re.compile(r"\b[A-Za-z_]\w*\b")
 SELF_CALL_RE = re.compile(
     r"(?<![\w.>:])([A-Za-z_]\w*)\s*\(")
 
-WRITE_RES = [
-    re.compile(r"\b([A-Za-z_]\w*_)(?:\s*\[[^\]]*\])?\s*"
-               r"(?:=(?!=)|\+=|-=|\*=|/=|\|=|&=|\^=|<<=|>>=)"),
-    re.compile(r"(?:\+\+|--)\s*([A-Za-z_]\w*_)\b"),
-    re.compile(r"\b([A-Za-z_]\w*_)\s*(?:\+\+|--)"),
-    re.compile(r"\b([A-Za-z_]\w*_)(?:\s*\[[^\]]*\])?\s*(?:\.|->)\s*"
-               r"(?:push_back|emplace_back|pop_back|push_front|"
-               r"pop_front|push|pop|take|clear|assign|resize|insert|"
-               r"erase|emplace|swap|reset|remove|advance|sort|"
-               r"splice|merge)\s*\("),
-]
-
-
-def _param_var(params, which):
-    """Name bound to a ckpt::Writer/Reader reference parameter."""
-    m = re.search(r"\b%s\s*&\s*([A-Za-z_]\w*)" % which, params)
-    return m.group(1) if m else None
-
-
-def _canon_call(name):
-    low = name.lower()
-    for prefix in ("serialize", "deserialize", "save", "load",
-                   "write", "read", "put", "get"):
-        if low.startswith(prefix) and len(low) > len(prefix):
-            return low[len(prefix):]
-    return low
-
-
-class _OpScanner:
-    """Recursive descent over a stripped body, producing op-seqs."""
-
-    def __init__(self, code, wvar, rvar):
-        self.code = code
-        self.wvar = wvar
-        self.rvar = rvar
-        vars_alt = "|".join(re.escape(v) for v in (wvar, rvar) if v)
-        if not vars_alt:
-            vars_alt = r"\b\B"  # matches nothing
-        self.prim_re = re.compile(
-            r"\b(?:%s)\s*\.\s*(%s)\s*\("
-            % (vars_alt, "|".join(PRIM_KINDS)))
-        self.var_re = re.compile(r"\b(?:%s)\b" % vars_alt)
-        self.token_re = re.compile(
-            r"(?P<ctrl>\b(?:for|while|if|switch)\s*\()"
-            r"|(?P<prim>\b(?:%s)\s*\.\s*(?:%s)\s*\()"
-            r"|(?P<deleg>(?:\.|->)\s*(?:saveState|loadState)\s*\()"
-            r"|(?P<group>\b(?:saveGroup|loadGroup)\s*\()"
-            r"|(?P<call>\b[A-Za-z_]\w*\s*\()"
-            % (vars_alt, "|".join(PRIM_KINDS)))
-
-    def scan(self, start, end):
-        code = self.code
-        seq = []
-        i = start
-        while i < end:
-            m = self.token_re.search(code, i, end)
-            if not m:
-                break
-            line = line_of(code, m.start())
-            if m.lastgroup == "ctrl":
-                kw = m.group("ctrl").split("(")[0].strip()
-                head_end = balanced_span(code, m.end() - 1)
-                if head_end < 0 or head_end > end:
-                    i = m.end()
-                    continue
-                head = code[m.end():head_end - 1]
-                # Ops in the head run before the body (the
-                # `if (r.u64() != expected) throw` validation idiom).
-                seq.extend(self.scan(m.end(), head_end - 1))
-                body_start, body_end, stmt_end = self._body_span(
-                    head_end, end)
-                sub = self.scan(body_start, body_end)
-                nxt = stmt_end
-                if kw == "if":
-                    els = []
-                    em = re.compile(r"\s*else\b").match(code,
-                                                        stmt_end, end)
-                    if em:
-                        eb_start, eb_end, nxt = self._body_span(
-                            em.end(), end)
-                        els = self.scan(eb_start, eb_end)
-                    if sub or els:
-                        seq.append({"t": "opt", "then": sub,
-                                    "els": els, "line": line})
-                elif kw in ("for", "while"):
-                    if sub:
-                        seq.append({"t": "loop", "body": sub,
-                                    "head": " ".join(head.split()),
-                                    "line": line})
-                else:  # switch: order within is data-dependent-ish,
-                    if sub:   # treat the whole thing as optional
-                        seq.append({"t": "opt", "then": sub,
-                                    "els": [], "line": line})
-                i = nxt
-            elif m.lastgroup == "prim":
-                span = balanced_span(code, m.end() - 1)
-                if span < 0 or span > end:
-                    i = m.end()
-                    continue
-                kind = re.search(
-                    r"\.\s*(\w+)\s*\($", code[m.start():m.end()]
-                ).group(1)
-                el = {"t": "p", "k": kind, "line": line}
-                arg = " ".join(code[m.end():span - 1].split())
-                if arg:
-                    el["arg"] = arg
-                asg = re.search(r"([A-Za-z_]\w*)\s*=\s*$",
-                                code[max(start, m.start() - 48):
-                                     m.start()])
-                if asg:
-                    el["asg"] = asg.group(1)
-                seq.append(el)
-                i = span
-            elif m.lastgroup == "deleg":
-                span = balanced_span(code, m.end() - 1)
-                seq.append({"t": "s", "line": line})
-                i = span if 0 < span <= end else m.end()
-            elif m.lastgroup == "group":
-                span = balanced_span(code, m.end() - 1)
-                seq.append({"t": "g", "line": line})
-                i = span if 0 < span <= end else m.end()
-            else:  # call
-                name = re.match(r"[A-Za-z_]\w*",
-                                code[m.start():]).group(0)
-                if name in KEYWORDS:
-                    i = m.end()
-                    continue
-                # Qualified calls (ns::f) are seen at `f(`; the
-                # qualifier was consumed as a non-matching ident.
-                span = balanced_span(code, m.end() - 1)
-                if span < 0 or span > end:
-                    i = m.end()
-                    continue
-                argtext_span = (m.end(), span - 1)
-                if self.var_re.search(code, *argtext_span):
-                    args = self.scan(*argtext_span)
-                    seq.append({"t": "call", "name": name,
-                                "canon": _canon_call(name),
-                                "args": args, "line": line})
-                    i = span
-                else:
-                    i = m.end()
-        return seq
-
-    def _body_span(self, pos, end):
-        """(body_start, body_end, continue_pos) for the block or
-        single statement starting at `pos`."""
-        code = self.code
-        while pos < end and code[pos] in " \t\n":
-            pos += 1
-        if pos < end and code[pos] == "{":
-            close = balanced_span(code, pos, "{", "}")
-            if close < 0 or close > end:
-                return pos + 1, end, end
-            return pos + 1, close - 1, close
-        # single statement: to the terminating `;` at depth 0
-        depth = 0
-        i = pos
-        while i < end:
-            c = code[i]
-            if c in "({[":
-                depth += 1
-            elif c in ")}]":
-                depth -= 1
-            elif c == ";" and depth == 0:
-                return pos, i, i + 1
-            i += 1
-        return pos, end, end
-
-
-def _body_facts(code, body_start, body_end, params):
-    """Digest one method/function body."""
+def _body_facts(code, body_start, body_end):
+    """Digest one method body."""
     body = code[body_start:body_end]
-    wvar = _param_var(params, "Writer")
-    rvar = _param_var(params, "Reader")
     idents = sorted(set(IDENT_RE.findall(body)))
     self_calls = sorted({m.group(1)
                          for m in SELF_CALL_RE.finditer(body)
@@ -249,19 +58,7 @@ def _body_facts(code, body_start, body_end, params):
         m.group(1)
         for m in re.finditer(r"\bthis\s*->\s*([A-Za-z_]\w*)\s*\(",
                              body)})
-    writes = set()
-    for pat in WRITE_RES:
-        writes.update(m.group(1) for m in pat.finditer(body))
-    facts = {
-        "idents": idents,
-        "calls": self_calls,
-        "writes": sorted(writes),
-    }
-    if wvar or rvar:
-        ops = _OpScanner(code, wvar, rvar).scan(body_start, body_end)
-        if ops:
-            facts["ops"] = ops
-    return facts
+    return {"idents": idents, "calls": self_calls}
 
 
 def _segments(body):
@@ -362,7 +159,6 @@ def digest_file(path, raw):
     code = strip_code(raw)
     classes = []
     methods = []
-    free_funcs = []
 
     spans = []
     for m in CLASS_RE.finditer(code):
@@ -405,19 +201,13 @@ def digest_file(path, raw):
             par = _method_name(head if eq < 0 else head[:eq])
             mname, par_pos = par
             if mname is not None and par_pos >= 0:
-                params_end = balanced_span(head, par_pos)
-                params = head[par_pos + 1:params_end - 1] \
-                    if params_end > 0 else ""
-                tail = head[params_end:] if params_end > 0 else ""
-                is_const = bool(re.search(r"\bconst\b", tail))
                 decl_methods.append(mname)
                 if body_span is not None:
                     b0 = brace + 1 + off + body_span[0] + 1
                     b1 = brace + 1 + off + body_span[1] - 1
-                    facts = _body_facts(code, b0, b1, params)
+                    facts = _body_facts(code, b0, b1)
                     facts.update({"cls": name, "name": mname,
-                                  "line": seg_line,
-                                  "const": is_const})
+                                  "line": seg_line})
                     methods.append(facts)
                 continue
             if body_span is not None:
@@ -454,7 +244,6 @@ def digest_file(path, raw):
             if not wm:
                 break
             j = wm.end()
-        is_const = "const" in code[params_end:j]
         k = j
         while k < len(code) and code[k] in " \t\n":
             k += 1
@@ -481,40 +270,12 @@ def digest_file(path, raw):
         close = balanced_span(code, k, "{", "}")
         if close < 0:
             continue
-        params = code[m.end():params_end - 1]
-        facts = _body_facts(code, k + 1, close - 1, params)
+        facts = _body_facts(code, k + 1, close - 1)
         facts.update({"cls": m.group(1), "name": m.group(2),
-                      "line": line_of(code, m.start()),
-                      "const": is_const})
+                      "line": line_of(code, m.start())})
         methods.append(facts)
 
-    # Free functions taking a Writer/Reader (helper idioms like
-    # saveSortedMap); skip matches inside classes or qualified defs.
-    for m in FREE_FUNC_RE.finditer(code):
-        if _in_class(m.start()):
-            continue
-        before = code[max(0, m.start() - 2):m.start()]
-        if before.endswith("::") or before.endswith((".", "->")):
-            continue
-        if m.group(1) in KEYWORDS:
-            continue
-        par_pos = code.find("(", m.start())
-        params_end = balanced_span(code, par_pos)
-        if params_end < 0:
-            continue
-        brace = code.find("{", params_end)
-        close = balanced_span(code, brace, "{", "}")
-        if close < 0:
-            continue
-        facts = _body_facts(code, brace + 1, close - 1,
-                            code[par_pos + 1:params_end - 1])
-        if "ops" in facts:
-            free_funcs.append({"name": m.group(1),
-                               "line": line_of(code, m.start()),
-                               "ops": facts["ops"]})
-
-    return {"classes": classes, "methods": methods,
-            "free": free_funcs}
+    return {"classes": classes, "methods": methods}
 
 
 def sibling_paths(path):

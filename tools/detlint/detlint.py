@@ -10,7 +10,7 @@ CTest wiring, CI, and muscle memory -- keeps working:
 
 See `--help` for the rule catalog, suppression idioms and exit codes,
 or DESIGN.md's "Static analysis" section for the full write-up of
-rules R1-R10.
+rules R1-R9.
 """
 
 import os

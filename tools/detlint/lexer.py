@@ -8,8 +8,8 @@ and the annotation parsers for the two inline suppression idioms:
                                             line or the line below
   // detlint-transient(reason)           -- R9: this field is derived /
                                             rebuilt state, deliberately
-                                            absent from saveState or
-                                            loadState
+                                            absent from the checkpoint
+                                            walk
 
 Both are stale-checked by the driver: an annotation that stops
 suppressing anything is itself an error.

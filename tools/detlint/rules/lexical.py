@@ -135,7 +135,7 @@ def check_r2(path, code, report):
         report("R2", line,
                "iteration over unordered container '%s'; order is "
                "not deterministic. hint: collect and sort keys "
-               "first (see SharedLlc::saveState)" % target)
+               "first (see Archive::sortedMap)" % target)
 
 
 # --------------------------------------------------------------- R3
@@ -215,10 +215,8 @@ def check_r4(path, code, report):
         missing = []
         if not re.search(r"\bnextWakeTick\s*\(", body):
             missing.append("nextWakeTick (skip-ahead wake claim)")
-        if not re.search(r"\bsaveState\s*\(", body):
-            missing.append("saveState (checkpointing)")
-        if not re.search(r"\bloadState\s*\(", body):
-            missing.append("loadState (checkpointing)")
+        if not re.search(r"\bcheckpoint\s*\(", body):
+            missing.append("checkpoint (checkpointing)")
         for what in missing:
             report("R4", line,
                    "Clocked subclass '%s' declares member state but "
