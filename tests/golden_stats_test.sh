@@ -5,8 +5,9 @@
 # counts and resumes within one build, so a change that alters every
 # kernel alike passes them. This test hashes the --stats report of a
 # fixed set of runs (every scheduler, both gates, the saturated mix
-# with and without skip-ahead, a checkpoint image and its resume, and
-# the small cloud scenario) and compares each digest with
+# with and without skip-ahead, a checkpoint image and its resume, the
+# small cloud scenario and its checkpoint images) and compares each
+# digest with
 # tests/golden_stats.digests.
 #
 # Usage: golden_stats_test.sh /path/to/mitts_sim [--update]
@@ -83,6 +84,13 @@ record ckpt-resume "$WORK/ckpt-resume.txt"
 sim scenario --scenario "$SCENARIO" --scenario-out "$WORK/scn" --stats
 record scenario "$WORK/scn/summary.txt" "$WORK/scn/stats.txt" \
     "$WORK/scn/billing.csv" "$WORK/scn"/socket*/timeseries.csv
+
+# Datacenter checkpoint image bytes: the engine's image and every
+# socket's, from a mid-scenario save.
+sim ckpt-datacenter --scenario "$SCENARIO" --scenario-until 100000 \
+    --checkpoint-every 50000 --checkpoint-out "$WORK/dc"
+record ckpt-datacenter "$WORK/dc/ckpt-50000/cloud.mitts" \
+    "$WORK/dc/ckpt-50000"/socket*.mitts
 
 if [ "$UPDATE" -eq 1 ]; then
     if [ "$fails" -ne 0 ]; then
