@@ -84,16 +84,14 @@ CacheArray::checkpoint(ckpt::Archive &a)
 {
     a.expect(numSets(), "cache array geometry mismatch");
     a.expect(assoc_, "cache array geometry mismatch");
-    // The tag walk is the longest loop of every image. Through a local
-    // copy of the archive the compiler can see the direction does not
-    // change inside the loop and test it once, before the loop.
-    ckpt::Archive tags = a;
-    for (auto &line : lines_) {
-        tags.b(line.valid);
-        tags.b(line.dirty);
-        tags.u64(line.tag);
-        tags.u64(line.lastUse);
-    }
+    // The tag walk is the longest loop of every image: one block of
+    // fixed-width records, bounded once.
+    a.records(lines_, [](auto &r, Line &line) {
+        r.b(line.valid);
+        r.b(line.dirty);
+        r.u64(line.tag);
+        r.u64(line.lastUse);
+    });
     a.u64(useClock_);
 }
 

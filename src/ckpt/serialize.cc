@@ -1,9 +1,7 @@
 #include "ckpt/serialize.hh"
 
 #include <array>
-#include <bit>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -21,73 +19,22 @@ namespace
 // section count.
 constexpr std::size_t kHashAt = sizeof(kMagic) + 4;
 constexpr std::size_t kCountAt = kHashAt + 8;
+constexpr std::size_t kHeaderBytes = kCountAt + 4;
 
-void
-putU32(std::string &out, std::uint32_t v)
-{
-    char buf[4];
-    for (int i = 0; i < 4; ++i)
-        buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-    out.append(buf, 4);
-}
-
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    char buf[8];
-    for (int i = 0; i < 8; ++i)
-        buf[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-    out.append(buf, 8);
-}
-
-void
-setU32(std::string &s, std::size_t off, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        s[off + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-
-void
-setU64(std::string &s, std::size_t off, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        s[off + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-}
-
-std::uint32_t
-getU32(const void *data)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-getU64(const void *data)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-/** Slicing-by-8 tables for the reflected polynomial 0xEDB88320:
+/** Slicing-by-16 tables for the reflected polynomial 0xEDB88320:
  *  kCrcTables[0] is the classic byte table, and kCrcTables[k][b] is
  *  the CRC of byte b followed by k zero bytes. */
-constexpr std::array<std::array<std::uint32_t, 256>, 8>
+constexpr std::array<std::array<std::uint32_t, 256>, 16>
 makeCrcTables()
 {
-    std::array<std::array<std::uint32_t, 256>, 8> t{};
+    std::array<std::array<std::uint32_t, 256>, 16> t{};
     for (std::uint32_t b = 0; b < 256; ++b) {
         std::uint32_t c = b;
         for (int k = 0; k < 8; ++k)
             c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
         t[0][b] = c;
     }
-    for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t k = 1; k < 16; ++k)
         for (std::uint32_t b = 0; b < 256; ++b)
             t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xFF];
     return t;
@@ -95,50 +42,140 @@ makeCrcTables()
 
 constexpr auto kCrcTables = makeCrcTables();
 
+/** Input word `w` (four bytes, the first in its low byte) folded
+ *  through tables k + 3 down to k. */
+inline std::uint32_t
+fold(std::uint32_t w, std::size_t k)
+{
+    const auto &t = kCrcTables;
+    return t[k + 3][w & 0xFF] ^ t[k + 2][(w >> 8) & 0xFF] ^
+           t[k + 1][(w >> 16) & 0xFF] ^ t[k][w >> 24];
+}
+
+/** a * b modulo the CRC polynomial, both reflected (bit 31 is x^0). */
+constexpr std::uint32_t
+mulModP(std::uint32_t a, std::uint32_t b)
+{
+    std::uint32_t p = 0;
+    for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+        if (a & m)
+            p ^= b;
+        b = (b >> 1) ^ (0xEDB88320u & (0u - (b & 1u)));
+    }
+    return p;
+}
+
+/** kX2n[k] = x^(2^k) modulo the CRC polynomial. x has order dividing
+ *  2^32 - 1, so x^(2^32) = x and the table wraps after 32 entries. */
+constexpr std::array<std::uint32_t, 32>
+makeX2nTable()
+{
+    std::array<std::uint32_t, 32> t{};
+    t[0] = 1u << 30; // x^1
+    for (std::size_t k = 1; k < t.size(); ++k)
+        t[k] = mulModP(t[k - 1], t[k - 1]);
+    return t;
+}
+
+constexpr auto kX2n = makeX2nTable();
+
+/** Encode `n` elements at `src` as consecutive little-endian fields of
+ *  sizeof(T) bytes (doubles by their bit pattern). */
+template <class T>
+void
+encodeBlock(char *dst, const T *src, std::size_t n)
+{
+    using U = std::conditional_t<sizeof(T) == 8, std::uint64_t,
+                                 std::uint32_t>;
+    if constexpr (std::endian::native == std::endian::little) {
+        if (n != 0)
+            std::memcpy(dst, src, n * sizeof(T));
+    } else {
+        for (std::size_t i = 0; i < n; ++i)
+            storeLe(dst + i * sizeof(T), std::bit_cast<U>(src[i]));
+    }
+}
+
+/** Mirror of encodeBlock. */
+template <class T>
+void
+decodeBlock(T *dst, const char *src, std::size_t n)
+{
+    using U = std::conditional_t<sizeof(T) == 8, std::uint64_t,
+                                 std::uint32_t>;
+    if constexpr (std::endian::native == std::endian::little) {
+        if (n != 0)
+            std::memcpy(dst, src, n * sizeof(T));
+    } else {
+        for (std::size_t i = 0; i < n; ++i)
+            dst[i] = std::bit_cast<T>(loadLe<U>(src + i * sizeof(T)));
+    }
+}
+
 } // namespace
 
 std::uint32_t
 crc32(const void *data, std::size_t len, std::uint32_t crc)
 {
-    // Slicing-by-8: fold eight input bytes per step through eight
+    // Slicing-by-16: fold sixteen input bytes per step through sixteen
     // table lookups. Same values as the bitwise zlib CRC-32.
-    const auto &t = kCrcTables;
-    const auto *p = static_cast<const unsigned char *>(data);
+    const auto *p = static_cast<const char *>(data);
     crc = ~crc;
-    for (; len >= 8; p += 8, len -= 8) {
-        const std::uint32_t lo = crc ^ getU32(p);
-        crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
-              t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
-              t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+    for (; len >= 16; p += 16, len -= 16) {
+        crc = fold(crc ^ loadLe<std::uint32_t>(p), 12) ^
+              fold(loadLe<std::uint32_t>(p + 4), 8) ^
+              fold(loadLe<std::uint32_t>(p + 8), 4) ^
+              fold(loadLe<std::uint32_t>(p + 12), 0);
     }
+    const auto &t0 = kCrcTables[0];
     for (; len > 0; ++p, --len)
-        crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFF];
+        crc = (crc >> 8) ^ t0[(crc ^ static_cast<unsigned char>(*p)) & 0xFF];
     return ~crc;
+}
+
+std::uint32_t
+crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b, std::uint64_t len_b)
+{
+    // Appending B shifts A's CRC register through 8 * len_b zero bits,
+    // a multiplication by x^(8 len_b) modulo P; B's own CRC then adds
+    // in (zlib's crc32_combine method).
+    std::uint32_t shift = 1u << 31; // x^0
+    for (unsigned k = 3; len_b != 0; len_b >>= 1, ++k) {
+        if (len_b & 1)
+            shift = mulModP(kX2n[k & 31], shift);
+    }
+    return mulModP(shift, crc_a) ^ crc_b;
 }
 
 // ---------------------------------------------------------------- Writer
 
-Writer::Writer()
+Writer::Writer(std::size_t reserve_bytes)
 {
-    // The config hash and section count are patched in by finish().
-    image_.append(kMagic, sizeof(kMagic));
-    putU32(image_, kFormatVersion);
-    putU64(image_, 0);
-    putU32(image_, 0);
-}
-
-std::string &
-Writer::sink()
-{
-    if (!open_)
-        throw Error("checkpoint write outside a section");
-    return image_;
+    reserve(std::max(reserve_bytes, kHeaderBytes));
+    // The config hash and section count are patched in by seal().
+    char *p = append(kHeaderBytes);
+    std::memcpy(p, kMagic, sizeof(kMagic));
+    storeLe(p + sizeof(kMagic), kFormatVersion);
+    storeLe(p + kHashAt, std::uint64_t{0});
+    storeLe(p + kCountAt, std::uint32_t{0});
 }
 
 void
-Writer::raw(const void *data, std::size_t len)
+Writer::reserve(std::size_t bytes)
 {
-    sink().append(static_cast<const char *>(data), len);
+    const std::size_t cap = std::max(bytes, 2 * capacity_);
+    char *grown = static_cast<char *>(std::realloc(image_.get(), cap));
+    if (!grown)
+        throw std::bad_alloc();
+    image_.release();
+    image_.reset(grown);
+    capacity_ = cap;
+}
+
+void
+Writer::writeOutsideSection()
+{
+    throw Error("checkpoint write outside a section");
 }
 
 void
@@ -147,10 +184,13 @@ Writer::beginSection(const std::string &name)
     if (open_)
         throw Error("checkpoint section '" + name +
                     "' opened inside '" + openName_ + "'");
-    putU32(image_, static_cast<std::uint32_t>(name.size()));
-    image_ += name;
-    putU64(image_, 0); // payload length, patched by endSection()
-    payloadAt_ = image_.size();
+    sectionAt_ = size_;
+    char *p = append(4 + name.size() + 8);
+    storeLe(p, static_cast<std::uint32_t>(name.size()));
+    if (!name.empty())
+        std::memcpy(p + 4, name.data(), name.size());
+    // The payload length is patched by endSection().
+    payloadAt_ = size_;
     openName_ = name;
     open_ = true;
     ++numSections_;
@@ -161,67 +201,55 @@ Writer::endSection()
 {
     if (!open_)
         throw Error("endSection without an open section");
-    const std::size_t len = image_.size() - payloadAt_;
-    setU64(image_, payloadAt_ - 8, len);
-    putU32(image_, crc32(image_.data() + payloadAt_, len));
+    const std::size_t len = size_ - payloadAt_;
+    storeLe(image_.get() + payloadAt_ - 8, std::uint64_t{len});
+    const std::uint32_t crc = crc32(image_.get() + payloadAt_, len);
+    storeLe(append(4), crc);
+    // Fold the record into the body CRC: its framing bytes, then the
+    // payload by its CRC, then the payload CRC's own bytes.
+    const char *rec = image_.get() + sectionAt_;
+    bodyCrc_ = crc32(rec, payloadAt_ - sectionAt_, bodyCrc_);
+    bodyCrc_ = crc32Combine(bodyCrc_, crc, len);
+    bodyCrc_ = crc32(image_.get() + size_ - 4, 4, bodyCrc_);
     open_ = false;
-}
-
-void
-Writer::u32(std::uint32_t v)
-{
-    putU32(sink(), v);
-}
-
-void
-Writer::u64(std::uint64_t v)
-{
-    putU64(sink(), v);
-}
-
-void
-Writer::f64(double v)
-{
-    u64(std::bit_cast<std::uint64_t>(v));
 }
 
 void
 Writer::str(const std::string &s)
 {
     u64(s.size());
-    raw(s.data(), s.size());
+    if (!s.empty())
+        std::memcpy(field(s.size()), s.data(), s.size());
 }
 
 void
 Writer::vecU32(const std::vector<std::uint32_t> &v)
 {
     u64(v.size());
-    for (auto x : v)
-        u32(x);
+    encodeBlock(field(4 * v.size()), v.data(), v.size());
 }
 
 void
 Writer::vecU64(const std::vector<std::uint64_t> &v)
 {
     u64(v.size());
-    for (auto x : v)
-        u64(x);
+    encodeBlock(field(8 * v.size()), v.data(), v.size());
 }
 
 void
 Writer::vecF64(const std::vector<double> &v)
 {
     u64(v.size());
-    for (auto x : v)
-        f64(x);
+    encodeBlock(field(8 * v.size()), v.data(), v.size());
 }
 
 void
 Writer::vecBool(const std::vector<bool> &v)
 {
     u64(v.size());
+    char *p = field(v.size());
     for (bool x : v)
-        b(x);
+        *p++ = x ? 1 : 0;
 }
 
 void
@@ -260,93 +288,141 @@ Writer::request(const ReqPtr &req)
     b(req->llcHit);
 }
 
-std::string
-Writer::finish(std::uint64_t config_hash)
+void
+Writer::seal(std::uint64_t config_hash)
 {
     if (open_)
         throw Error("finish() with section '" + openName_ +
                     "' still open");
-    std::string out = std::move(image_);
-    setU64(out, kHashAt, config_hash);
-    setU32(out, kCountAt, numSections_);
-    putU32(out, crc32(out.data(), out.size()));
+    char *head = image_.get();
+    storeLe(head + kHashAt, config_hash);
+    storeLe(head + kCountAt, numSections_);
+    // Only the header is read again: the body's CRC was folded from
+    // each section's as it closed.
+    const std::uint32_t crc =
+        crc32Combine(crc32(head, kHeaderBytes), bodyCrc_,
+                     size_ - kHeaderBytes);
+    storeLe(append(4), crc);
+}
+
+std::string
+Writer::finish(std::uint64_t config_hash)
+{
+    seal(config_hash);
+    std::string out(image_.get(), size_);
     *this = Writer();
     return out;
 }
 
-void
+std::size_t
 Writer::writeFile(const std::string &path, std::uint64_t config_hash)
 {
-    const std::string image = finish(config_hash);
+    seal(config_hash);
+    const std::size_t bytes = size_;
     const std::string tmp = path + ".tmp";
     {
         std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
         if (!os)
             throw Error("cannot open '" + tmp + "' for writing");
-        os.write(image.data(),
-                 static_cast<std::streamsize>(image.size()));
+        os.write(image_.get(), static_cast<std::streamsize>(size_));
         os.flush();
         if (!os)
             throw Error("short write to '" + tmp + "'");
     }
+    *this = Writer();
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
         throw Error("cannot rename '" + tmp + "' to '" + path + "'");
     }
+    return bytes;
 }
 
 // ---------------------------------------------------------------- Reader
 
-Reader::Reader(std::string data, std::uint64_t expected_config_hash)
-    : data_(std::move(data))
+namespace
 {
-    const std::size_t kHeader = sizeof(kMagic) + 4 + 8 + 4;
-    if (data_.size() < kHeader + 4)
-        throw Error("checkpoint truncated: " +
-                    std::to_string(data_.size()) + " bytes");
-    if (std::memcmp(data_.data(), kMagic, sizeof(kMagic)) != 0)
+
+std::unique_ptr<char[]>
+copyBytes(const std::string &s)
+{
+    auto p = std::make_unique_for_overwrite<char[]>(s.size());
+    if (!s.empty())
+        std::memcpy(p.get(), s.data(), s.size());
+    return p;
+}
+
+} // namespace
+
+Reader::Reader(std::string data, std::uint64_t expected_config_hash)
+    : Reader(copyBytes(data), data.size(), expected_config_hash)
+{
+}
+
+Reader::Reader(std::unique_ptr<char[]> data, std::size_t size,
+               std::uint64_t expected_config_hash)
+    : data_(std::move(data)), size_(size)
+{
+    const char *d = data_.get();
+    if (size_ < kHeaderBytes + 4)
+        throw Error("checkpoint truncated: " + std::to_string(size_) +
+                    " bytes");
+    if (std::memcmp(d, kMagic, sizeof(kMagic)) != 0)
         throw Error("bad checkpoint magic (not a MITTS checkpoint)");
-    std::size_t off = sizeof(kMagic);
-    const std::uint32_t version = getU32(data_.data() + off);
-    off += 4;
+    const auto version = loadLe<std::uint32_t>(d + sizeof(kMagic));
     if (version != kFormatVersion)
         throw Error("unsupported checkpoint format version " +
                     std::to_string(version) + " (expected " +
                     std::to_string(kFormatVersion) + ")");
-    const std::uint64_t hash = getU64(data_.data() + off);
-    off += 8;
-    if (hash != expected_config_hash)
+    if (loadLe<std::uint64_t>(d + kHashAt) != expected_config_hash)
         throw Error(
             "config hash mismatch: checkpoint was taken under a "
             "different system configuration");
-    const std::uint32_t file_crc =
-        getU32(data_.data() + data_.size() - 4);
-    const std::uint32_t want_crc =
-        crc32(data_.data(), data_.size() - 4);
-    if (file_crc != want_crc)
+    // One pass: index the sections, checking each payload's CRC, and
+    // fold those CRCs into the file CRC. A good image is read once.
+    const auto file_crc = loadLe<std::uint32_t>(d + size_ - 4);
+    try {
+        if (indexSections() == file_crc)
+            return;
+    } catch (const Error &) {
+    }
+    // A bad image reports what the two-pass check reports: the
+    // whole-image CRC first, then the framing and section CRCs.
+    if (crc32(d, size_ - 4) != file_crc)
         throw Error("checkpoint file CRC mismatch (corrupted)");
-    const std::uint32_t num_sections = getU32(data_.data() + off);
-    off += 4;
-    const std::size_t limit = data_.size() - 4;
+    sections_.clear();
+    indexSections();
+}
+
+std::uint32_t
+Reader::indexSections()
+{
+    const char *d = data_.get();
+    const std::uint32_t num_sections = loadLe<std::uint32_t>(d + kCountAt);
+    std::uint32_t file_crc = crc32(d, kHeaderBytes);
+    std::size_t off = kHeaderBytes;
+    const std::size_t limit = size_ - 4;
     for (std::uint32_t s = 0; s < num_sections; ++s) {
+        const std::size_t rec = off;
         if (off + 4 > limit)
             throw Error("checkpoint truncated in section table");
-        const std::uint32_t name_len = getU32(data_.data() + off);
+        const std::uint32_t name_len = loadLe<std::uint32_t>(d + off);
         off += 4;
         if (off + name_len + 8 > limit)
             throw Error("checkpoint truncated in section header");
-        std::string name(data_.data() + off, name_len);
+        std::string name(d + off, name_len);
         off += name_len;
-        const std::uint64_t payload_len = getU64(data_.data() + off);
+        const std::uint64_t payload_len = loadLe<std::uint64_t>(d + off);
         off += 8;
         if (payload_len > limit - off || off + payload_len + 4 > limit)
             throw Error("checkpoint truncated in section '" + name +
                         "'");
-        const std::uint32_t crc =
-            getU32(data_.data() + off + payload_len);
-        if (crc != crc32(data_.data() + off, payload_len))
+        const std::uint32_t crc = crc32(d + off, payload_len);
+        if (loadLe<std::uint32_t>(d + off + payload_len) != crc)
             throw Error("CRC mismatch in section '" + name +
                         "' (corrupted)");
+        file_crc = crc32(d + rec, off - rec, file_crc);
+        file_crc = crc32Combine(file_crc, crc, payload_len);
+        file_crc = crc32(d + off + payload_len, 4, file_crc);
         sections_.push_back(Section{std::move(name), off,
                                     static_cast<std::size_t>(
                                         payload_len)});
@@ -354,6 +430,7 @@ Reader::Reader(std::string data, std::uint64_t expected_config_hash)
     }
     if (off != limit)
         throw Error("trailing bytes after checkpoint sections");
+    return file_crc;
 }
 
 Reader
@@ -373,10 +450,13 @@ Reader::fromFile(const std::string &path,
     const std::streamoff size = is.tellg();
     if (size < 0 || !is.seekg(0))
         throw Error("cannot read checkpoint '" + path + "'");
-    std::string data(static_cast<std::size_t>(size), '\0');
-    if (!is.read(data.data(), size))
+    // The read fills every byte, so the buffer is not zeroed first.
+    auto data = std::make_unique_for_overwrite<char[]>(
+        static_cast<std::size_t>(size));
+    if (!is.read(data.get(), size))
         throw Error("short read from checkpoint '" + path + "'");
-    return Reader(std::move(data), expected_config_hash);
+    return Reader(std::move(data), static_cast<std::size_t>(size),
+                  expected_config_hash);
 }
 
 void
@@ -409,42 +489,13 @@ Reader::endSection()
     ++sectionIdx_;
 }
 
-const char *
-Reader::need(std::size_t n)
+void
+Reader::underrun() const
 {
     if (!open_)
         throw Error("checkpoint read outside a section");
-    if (end_ - pos_ < n)
-        throw Error("section '" + sections_[sectionIdx_].name +
-                    "' underrun");
-    const char *p = data_.data() + pos_;
-    pos_ += n;
-    return p;
-}
-
-std::uint8_t
-Reader::u8()
-{
-    return static_cast<std::uint8_t>(
-        static_cast<unsigned char>(*need(1)));
-}
-
-std::uint32_t
-Reader::u32()
-{
-    return getU32(need(4));
-}
-
-std::uint64_t
-Reader::u64()
-{
-    return getU64(need(8));
-}
-
-double
-Reader::f64()
-{
-    return std::bit_cast<double>(u64());
+    throw Error("section '" + sections_[sectionIdx_].name +
+                "' underrun");
 }
 
 std::string
@@ -466,48 +517,38 @@ Reader::vecLength(std::size_t elem_bytes)
     return n;
 }
 
-std::vector<std::uint32_t>
-Reader::vecU32()
+void
+Reader::vecU32(std::vector<std::uint32_t> &v)
 {
     const std::uint64_t n = vecLength(4);
-    std::vector<std::uint32_t> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        v.push_back(u32());
-    return v;
+    v.resize(n);
+    decodeBlock(v.data(), need(4 * n), n);
 }
 
-std::vector<std::uint64_t>
-Reader::vecU64()
+void
+Reader::vecU64(std::vector<std::uint64_t> &v)
 {
     const std::uint64_t n = vecLength(8);
-    std::vector<std::uint64_t> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        v.push_back(u64());
-    return v;
+    v.resize(n);
+    decodeBlock(v.data(), need(8 * n), n);
 }
 
-std::vector<double>
-Reader::vecF64()
+void
+Reader::vecF64(std::vector<double> &v)
 {
     const std::uint64_t n = vecLength(8);
-    std::vector<double> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        v.push_back(f64());
-    return v;
+    v.resize(n);
+    decodeBlock(v.data(), need(8 * n), n);
 }
 
-std::vector<bool>
-Reader::vecBool()
+void
+Reader::vecBool(std::vector<bool> &v)
 {
     const std::uint64_t n = vecLength(1);
-    std::vector<bool> v;
-    v.reserve(n);
+    const char *p = need(n);
+    v.assign(n, false);
     for (std::uint64_t i = 0; i < n; ++i)
-        v.push_back(b());
-    return v;
+        v[i] = p[i] != 0;
 }
 
 ReqPtr

@@ -34,7 +34,11 @@
 #define MITTS_CKPT_SERIALIZE_HH
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -78,29 +82,73 @@ class Error : public std::runtime_error
 std::uint32_t crc32(const void *data, std::size_t len,
                     std::uint32_t crc = 0);
 
+/** The CRC-32 of A followed by B, from crc32(A), crc32(B) and B's
+ *  length alone (B's bytes are not read). */
+std::uint32_t crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                           std::uint64_t len_b);
+
+/** Store `v` at `p` as sizeof(T) little-endian bytes. */
+template <class T>
+inline void
+storeLe(char *p, T v)
+{
+    static_assert(std::is_unsigned_v<T>);
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(p, &v, sizeof(T));
+    } else {
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    }
+}
+
+/** The sizeof(T) little-endian bytes at `p`. */
+template <class T>
+inline T
+loadLe(const char *p)
+{
+    static_assert(std::is_unsigned_v<T>);
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, sizeof(T));
+    } else {
+        for (std::size_t i = 0; i < sizeof(T); ++i)
+            v |= static_cast<T>(static_cast<unsigned char>(p[i]))
+                 << (8 * i);
+    }
+    return v;
+}
+
 /** Serializer: encodes each section in place in one image buffer,
  *  then seals it. */
 class Writer
 {
   public:
-    Writer();
+    /** An empty image with room for `reserve_bytes` before it grows
+     *  (a hint, such as the size of the last image of the same
+     *  system). */
+    explicit Writer(std::size_t reserve_bytes = 0);
 
     /** Open a new section; sections cannot nest. */
     void beginSection(const std::string &name);
     void endSection();
 
-    void u8(std::uint8_t v) { raw(&v, 1); }
-    void u32(std::uint32_t v);
-    void u64(std::uint64_t v);
+    void u8(std::uint8_t v) { *field(1) = static_cast<char>(v); }
+    void u32(std::uint32_t v) { storeLe(field(4), v); }
+    void u64(std::uint64_t v) { storeLe(field(8), v); }
     void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-    void f64(double v);
+    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
     void b(bool v) { u8(v ? 1 : 0); }
     void str(const std::string &s);
 
+    /** A u64 element count, then the elements as one block. */
     void vecU32(const std::vector<std::uint32_t> &v);
     void vecU64(const std::vector<std::uint64_t> &v);
     void vecF64(const std::vector<double> &v);
     void vecBool(const std::vector<bool> &v);
+
+    /** Append `n` bytes to the open section for the caller to fill
+     *  (a block of fixed-width records); returns the first. */
+    char *block(std::size_t n) { return field(n); }
 
     /**
      * Write a (possibly shared, possibly null) request. The first
@@ -113,21 +161,59 @@ class Writer
      *  hand it over; the Writer is left empty. */
     std::string finish(std::uint64_t config_hash);
 
-    /** finish() to `path` via write-to-temp + atomic rename. */
-    void writeFile(const std::string &path, std::uint64_t config_hash);
+    /** Seal the image and write it to `path` via write-to-temp +
+     *  atomic rename, leaving the Writer empty; returns the image
+     *  size in bytes. */
+    std::size_t writeFile(const std::string &path,
+                          std::uint64_t config_hash);
 
   private:
-    /** The buffer the open section appends to; throws Error when no
+    /** `n` bytes appended to the open section; throws Error when no
      *  section is open. */
-    std::string &sink();
-    void raw(const void *data, std::size_t len);
+    char *
+    field(std::size_t n)
+    {
+        if (!open_)
+            writeOutsideSection();
+        return append(n);
+    }
+
+    /** `n` uninitialised bytes appended to the image. */
+    char *
+    append(std::size_t n)
+    {
+        if (capacity_ - size_ < n)
+            reserve(size_ + n);
+        char *p = image_.get() + size_;
+        size_ += n;
+        return p;
+    }
+
+    /** Grow the buffer to hold at least `bytes` (realloc: nothing is
+     *  zero-filled, and a large buffer grows without a copy). */
+    void reserve(std::size_t bytes);
+    [[noreturn]] static void writeOutsideSection();
+    /** Patch the header's hash and section count and append the file
+     *  CRC, folded from the header and body CRCs. */
+    void seal(std::uint64_t config_hash);
+
+    struct Free
+    {
+        void operator()(char *p) const { std::free(p); }
+    };
 
     /** Header, then each section's record as it is written: sections
      *  are encoded in place, closed with their length and CRC. */
-    std::string image_;
+    std::unique_ptr<char, Free> image_;
+    std::size_t size_ = 0;
+    std::size_t capacity_ = 0;
     std::string openName_;
+    std::size_t sectionAt_ = 0; ///< open section's record offset
     std::size_t payloadAt_ = 0; ///< open section's payload offset
     std::uint32_t numSections_ = 0;
+    /** CRC of every closed section record: each record's framing
+     *  bytes, with its payload CRC folded in, not recomputed. */
+    std::uint32_t bodyCrc_ = 0;
     bool open_ = false;
     // Positional interning: ids are assigned in serialization order.
     // Indexed by RequestPool slot (stable for a live request); a
@@ -165,30 +251,88 @@ class Reader
         return sections_.size() - sectionIdx_;
     }
 
-    std::uint8_t u8();
-    std::uint32_t u32();
-    std::uint64_t u64();
+    std::uint8_t u8() { return static_cast<unsigned char>(*need(1)); }
+    std::uint32_t u32() { return loadLe<std::uint32_t>(need(4)); }
+    std::uint64_t u64() { return loadLe<std::uint64_t>(need(8)); }
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-    double f64();
+    double f64() { return std::bit_cast<double>(u64()); }
     bool b() { return u8() != 0; }
     std::string str();
 
-    std::vector<std::uint32_t> vecU32();
-    std::vector<std::uint64_t> vecU64();
-    std::vector<double> vecF64();
-    std::vector<bool> vecBool();
+    /** Mirrors of Writer's vectors, decoded straight into `v`. */
+    void vecU32(std::vector<std::uint32_t> &v);
+    void vecU64(std::vector<std::uint64_t> &v);
+    void vecF64(std::vector<double> &v);
+    void vecBool(std::vector<bool> &v);
+
+    /** The same, returned by value. */
+    std::vector<std::uint32_t>
+    vecU32()
+    {
+        std::vector<std::uint32_t> v;
+        vecU32(v);
+        return v;
+    }
+
+    std::vector<std::uint64_t>
+    vecU64()
+    {
+        std::vector<std::uint64_t> v;
+        vecU64(v);
+        return v;
+    }
+
+    std::vector<double>
+    vecF64()
+    {
+        std::vector<double> v;
+        vecF64(v);
+        return v;
+    }
+
+    std::vector<bool>
+    vecBool()
+    {
+        std::vector<bool> v;
+        vecBool(v);
+        return v;
+    }
+
+    /** The next `n` bytes of the open section (a block of fixed-width
+     *  records), bounds-checked once. */
+    const char *block(std::size_t n) { return need(n); }
 
     /** Mirror of Writer::request. */
     ReqPtr request();
 
   private:
-    const char *need(std::size_t n);
+    /** Take ownership of `size` bytes at `data` and validate them. */
+    Reader(std::unique_ptr<char[]> data, std::size_t size,
+           std::uint64_t expected_config_hash);
+
+    const char *
+    need(std::size_t n)
+    {
+        if (!open_ || end_ - pos_ < n)
+            underrun();
+        const char *p = data_.get() + pos_;
+        pos_ += n;
+        return p;
+    }
+
+    [[noreturn]] void underrun() const;
     /** Read a vector's element count; throw Error when the open
      *  section's remaining bytes cannot hold that many elements of
      *  `elem_bytes` bytes (checked before anything is reserved). */
     std::uint64_t vecLength(std::size_t elem_bytes);
+    /** Index the section records after the header, checking their
+     *  framing and payload CRCs (throws Error at the first bad one);
+     *  returns the CRC of every byte before the file CRC, folded from
+     *  the payload CRCs. */
+    std::uint32_t indexSections();
 
-    std::string data_;
+    std::unique_ptr<char[]> data_;
+    std::size_t size_ = 0;
     struct Section
     {
         std::string name;
@@ -205,6 +349,41 @@ class Reader
 };
 
 class Serializable;
+
+/** The cursors Archive::records runs a record walk through: one sizes
+ *  a record, one encodes into and one decodes from a bounded block. */
+struct RecordSizer
+{
+    std::size_t bytes = 0;
+    void b(bool &) { bytes += 1; }
+    void u64(std::uint64_t &) { bytes += 8; }
+};
+
+struct RecordEncoder
+{
+    char *p;
+    void b(bool &v) { *p++ = v ? 1 : 0; }
+
+    void
+    u64(std::uint64_t &v)
+    {
+        storeLe(p, v);
+        p += 8;
+    }
+};
+
+struct RecordDecoder
+{
+    const char *p;
+    void b(bool &v) { v = *p++ != 0; }
+
+    void
+    u64(std::uint64_t &v)
+    {
+        v = loadLe<std::uint64_t>(p);
+        p += 8;
+    }
+};
 
 /**
  * One walk, two directions. A component describes its state once, in
@@ -246,25 +425,25 @@ class Archive
     void
     vecU32(std::vector<std::uint32_t> &v)
     {
-        w_ ? w_->vecU32(v) : void(v = r_->vecU32());
+        w_ ? w_->vecU32(v) : r_->vecU32(v);
     }
 
     void
     vecU64(std::vector<std::uint64_t> &v)
     {
-        w_ ? w_->vecU64(v) : void(v = r_->vecU64());
+        w_ ? w_->vecU64(v) : r_->vecU64(v);
     }
 
     void
     vecF64(std::vector<double> &v)
     {
-        w_ ? w_->vecF64(v) : void(v = r_->vecF64());
+        w_ ? w_->vecF64(v) : r_->vecF64(v);
     }
 
     void
     vecBool(std::vector<bool> &v)
     {
-        w_ ? w_->vecBool(v) : void(v = r_->vecBool());
+        w_ ? w_->vecBool(v) : r_->vecBool(v);
     }
 
     /** A (possibly shared, possibly null) request, interned by the
@@ -273,6 +452,35 @@ class Archive
     request(ReqPtr &req)
     {
         w_ ? w_->request(req) : void(req = r_->request());
+    }
+
+    /**
+     * One fixed-width record per element of `c`, as a single block.
+     * `rec(cursor, elem)` describes a record once, through a cursor
+     * with the field calls b and u64; it must write the same fields
+     * for every element. The block is sized from one record, then
+     * bounded (restore) or allocated (save) once, so no field is
+     * checked on its own. The element count is not written: the
+     * caller's structure fixes it.
+     */
+    template <class C, class F>
+    void
+    records(C &c, F &&rec)
+    {
+        if (c.empty())
+            return;
+        RecordSizer size;
+        rec(size, *c.begin());
+        const std::size_t bytes = size.bytes * c.size();
+        if (saving()) {
+            RecordEncoder out{w_->block(bytes)};
+            for (auto &e : c)
+                rec(out, e);
+        } else {
+            RecordDecoder in{r_->block(bytes)};
+            for (auto &e : c)
+                rec(in, e);
+        }
     }
 
     /** A stats::Group: counters, averages and histograms by
@@ -410,6 +618,19 @@ class Archive
         if (!std::in_range<T>(wide))
             outOfRange(what, std::to_string(wide));
         v = static_cast<T>(wide);
+    }
+
+    /** An index into a table of `n` entries, stored like narrow();
+     *  restore rejects a value outside [0, n) with "<what> <value> out
+     *  of range". */
+    template <class T>
+    void
+    index(T &v, std::uint64_t n, const char *what)
+    {
+        narrow(v, what);
+        if (!saving() &&
+            !(std::cmp_greater_equal(v, 0) && std::cmp_less(v, n)))
+            outOfRange(what, std::to_string(v));
     }
 
   private:

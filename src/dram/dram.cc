@@ -242,7 +242,7 @@ Dram::checkpoint(ckpt::Archive &a)
     a.vecU64(recentActivates_);
     a.check(recentActivates_.size() == 4,
             "DRAM activate ring size mismatch");
-    a.narrow(actHead_, "DRAM activate ring head");
+    a.index(actHead_, recentActivates_.size(), "DRAM activate ring head");
     a.narrow(numActivates_, "DRAM activate count");
     a.u64(lastActivate_);
     a.b(anyActivate_);

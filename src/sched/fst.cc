@@ -135,7 +135,7 @@ FstScheduler::checkpoint(ckpt::Archive &a)
     a.check(levels_.size() == numCores_ && n == numCores_,
             "fst core count mismatch");
     for (int &v : levelIdx_)
-        a.narrow(v, "fst throttle level");
+        a.index(v, std::size(kLevels), "fst throttle level");
     a.u64(nextAdjustAt_);
     for (const auto &g : gates_)
         g->checkpoint(a);

@@ -446,8 +446,9 @@ MittsShaper::checkpoint(ckpt::Archive &a)
     a.u64(nextReplenishAt_);
     a.u64(lastReplenishAt_);
     a.u64(lastIssueAt_);
-    a.sortedMap(pendingBin_,
-                [&](unsigned &bin) { a.narrow(bin, "shaper pending bin"); });
+    a.sortedMap(pendingBin_, [&](unsigned &bin) {
+        a.index(bin, bins, "shaper pending bin");
+    });
     a.sortedMap(pendingStamp_, [&](Tick &t) { a.u64(t); });
     a.u64(lastLlcMissStamp_);
     a.u64(throttleStart_);

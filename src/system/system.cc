@@ -13,7 +13,8 @@
 namespace mitts
 {
 
-System::System(const SystemConfig &cfg) : cfg_(cfg), sim_(cfg_.sim)
+System::System(const SystemConfig &cfg)
+    : cfg_(cfg), configHash_(ckpt::configHash(cfg_)), sim_(cfg_.sim)
 {
     MITTS_ASSERT(!cfg_.apps.empty(), "system needs at least one app");
     sim_.events().setHandler(this);
@@ -374,7 +375,7 @@ System::runUntilInstructions(std::uint64_t instr_target,
 std::uint64_t
 System::checkpointHash() const
 {
-    return ckpt::configHash(cfg_);
+    return configHash_;
 }
 
 void
@@ -409,10 +410,10 @@ System::validate(const EventDesc &d) const
 void
 System::saveCheckpoint(const std::string &path)
 {
-    ckpt::Writer w;
+    ckpt::Writer w(imageBytes_);
     ckpt::Archive a(w);
     walkSections(a);
-    w.writeFile(path, checkpointHash());
+    imageBytes_ = w.writeFile(path, checkpointHash());
 }
 
 void

@@ -349,6 +349,15 @@ OnlineTuner::checkpoint(ckpt::Archive &a)
             "online tuner per-core state does not match the core count");
     a.u64(epochStartTick_);
     a.narrow(measureEpochsLeft_, "online tuner measure-epoch count");
+    // Measure boosts each core in turn: startConfigPhase and
+    // closeEpoch keep boosted core + epochs left at the core count.
+    a.check(state_ != State::Measure ||
+                (boostedCore_ != kNoCore &&
+                 std::uint64_t{measureEpochsLeft_} +
+                         static_cast<unsigned>(boostedCore_) ==
+                     numCores_),
+            "online tuner measure-epoch count does not match its "
+            "boosted core");
     a.seq(population_, [&](Genome &g) { a.vecU32(g); });
     a.vecF64(fitness_);
     a.check(fitness_.size() == population_.size(),

@@ -62,15 +62,22 @@ class PhaseSwitcher : public Clocked, public ckpt::Serializable
     checkpoint(ckpt::Archive &a) override
     {
         a.expect(applied_.size(), "phase switcher schedule mismatch");
-        for (unsigned &p : applied_)
+        for (std::size_t i = 0; i < applied_.size(); ++i) {
+            unsigned &p = applied_[i];
             a.narrow(p, "phase switcher phase");
+            if (p != ~0u && p >= schedules_[i].configs.size())
+                throw ckpt::Error("phase switcher phase " +
+                                  std::to_string(p) +
+                                  " is not a phase of its schedule");
+        }
         a.u64(nextCheckAt_);
         a.u64(switches_);
     }
 
   private:
     System &sys_;
-    // detlint-transient(configured schedule; applied_ cursor is the mutable state)
+    // Configured schedule (restore bounds applied_ by it); applied_ is
+    // the mutable cursor.
     std::vector<PhaseSchedule> schedules_;
     std::vector<unsigned> applied_; ///< phase index currently applied
     // detlint-transient(construction-time config; never mutated after build)

@@ -108,6 +108,42 @@ TEST(CkptCrc32, MatchesBitwiseReference)
               bitwiseCrc32(big.data(), big.size()));
 }
 
+TEST(CkptCrc32, MatchesBitwiseReferenceAtEverySliceAlignment)
+{
+    // The kernel folds 16 bytes per step: every length up to 1,100 at
+    // each of the 16 start offsets within a step.
+    const auto buf = randomBytes(1'100 + 16, 0x16A1);
+    for (std::size_t off = 0; off < 16; ++off)
+        for (std::size_t len = 0; len <= 1'100; ++len)
+            ASSERT_EQ(ckpt::crc32(buf.data() + off, len),
+                      bitwiseCrc32(buf.data() + off, len))
+                << "offset " << off << " length " << len;
+}
+
+TEST(CkptCrc32, CombineMatchesTheConcatenation)
+{
+    // ckpt::crc32 is the reference here (checked against the bitwise
+    // loop above), so the splits can reach lengths of 2^18 bytes.
+    const auto buf = randomBytes(1u << 18, 0xC0B1);
+    auto crc = [&](std::size_t at, std::size_t len) {
+        return ckpt::crc32(buf.data() + at, len);
+    };
+    Random rng(0x5EED5);
+    for (int i = 0; i < 200; ++i) {
+        const std::size_t len = rng.next() % (buf.size() + 1);
+        const std::size_t cut = rng.next() % (len + 1);
+        ASSERT_EQ(ckpt::crc32Combine(crc(0, cut), crc(cut, len - cut),
+                                     len - cut),
+                  crc(0, len))
+            << "length " << len << " split at " << cut;
+    }
+    // Empty A, empty B, both empty.
+    const std::uint32_t whole = crc(0, buf.size());
+    EXPECT_EQ(ckpt::crc32Combine(0, whole, buf.size()), whole);
+    EXPECT_EQ(ckpt::crc32Combine(whole, 0, 0), whole);
+    EXPECT_EQ(ckpt::crc32Combine(0, 0, 0), 0u);
+}
+
 // --- format primitives --------------------------------------------------
 
 TEST(CkptFormat, PrimitiveRoundTrip)
@@ -687,10 +723,119 @@ TEST(CkptSystem, RejectsCorruptedCheckpointFile)
     std::filesystem::remove(path);
 }
 
+// The Reader checks a good image in one pass and reruns the two-pass
+// order (whole-image CRC, then framing and section CRCs) only when
+// that pass fails. So every corrupt image must still fail, with the
+// two-pass verdict: a flip in the magic, version or config hash names
+// that field, and any other flip breaks the whole-image CRC first.
+// Flipped: every header and framing byte of a small System image, the
+// file CRC, and a seeded sample of payload bytes.
+TEST(CkptSystem, EveryFlippedByteFailsWithTheTwoPassVerdict)
+{
+    SystemConfig cfg = SystemConfig::singleProgram("mcf");
+    cfg.gate = GateKind::Mitts;
+    cfg.seed = 7;
+    const std::string path = tmpPath("mitts_flip.ckpt");
+    System sys(cfg);
+    sys.run(2'048);
+    sys.saveCheckpoint(path);
+    const std::string img = readFile(path);
+    std::filesystem::remove(path);
+    const std::uint64_t hash = sys.checkpointHash();
+    ASSERT_NO_THROW(ckpt::Reader(img, hash));
+
+    const std::size_t header = sizeof(ckpt::kMagic) + 4 + 8 + 4;
+    std::vector<std::size_t> flips;
+    for (std::size_t i = 0; i < header; ++i)
+        flips.push_back(i);
+    Random rng(0xF11B);
+    std::size_t off = header;
+    std::vector<std::pair<std::string, std::size_t>> payloads;
+    const std::size_t count = getLe(img, header - 4, 4);
+    for (std::size_t s = 0; s < count; ++s) {
+        const std::size_t name_len = getLe(img, off, 4);
+        const std::size_t payload = off + 12 + name_len;
+        const std::size_t len = getLe(img, payload - 8, 8);
+        if (len > 0)
+            payloads.emplace_back(img.substr(off + 4, name_len), payload);
+        for (std::size_t i = off; i < payload; ++i)
+            flips.push_back(i);
+        for (int k = 0; k < 8 && len > 0; ++k)
+            flips.push_back(payload + rng.next() % len);
+        for (std::size_t i = 0; i < 4; ++i)
+            flips.push_back(payload + len + i);
+        off = payload + len + 4;
+    }
+    ASSERT_EQ(off + 4, img.size());
+    for (std::size_t i = off; i < img.size(); ++i)
+        flips.push_back(i);
+
+    auto expectVerdict = [&](const std::string &bad, const std::string &what,
+                             const std::string &where) {
+        try {
+            ckpt::Reader r(bad, hash);
+            ADD_FAILURE() << where << ": image accepted";
+        } catch (const ckpt::Error &e) {
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+                << where << ": " << e.what();
+        }
+    };
+    auto twoPassVerdict = [](std::size_t i) {
+        if (i < 8)
+            return "bad checkpoint magic";
+        if (i < 12)
+            return "unsupported checkpoint format version";
+        if (i < 20)
+            return "config hash mismatch";
+        return "checkpoint file CRC mismatch";
+    };
+    for (std::size_t i : flips) {
+        std::string bad = img;
+        bad[i] = static_cast<char>(bad[i] ^ (1 + rng.next() % 255));
+        expectVerdict(bad, twoPassVerdict(i), "byte " + std::to_string(i));
+    }
+
+    // With the file CRC re-sealed, the framing and the section CRCs
+    // give the verdict.
+    auto resealed = [](std::string bad) {
+        putLe(bad, bad.size() - 4,
+              ckpt::crc32(bad.data(), bad.size() - 4), 4);
+        return bad;
+    };
+    for (const auto &[name, payload] : payloads) {
+        std::string bad = img;
+        bad[payload] ^= 0x40;
+        expectVerdict(resealed(bad),
+                      "CRC mismatch in section '" + name + "'",
+                      "section " + name);
+    }
+    std::string more = img, fewer = img;
+    putLe(more, header - 4, count + 1, 4);
+    putLe(fewer, header - 4, count - 1, 4);
+    expectVerdict(resealed(more), "truncated in section table",
+                  "one section too many");
+    expectVerdict(resealed(fewer), "trailing bytes after", "one too few");
+}
+
 // --- corrupted fixed-size state ---------------------------------------
 //
 // The image is re-sealed after each edit (both CRC layers), so these
 // reach the component checks behind the format's own validation.
+
+/** Restoring `path` into `sys` throws one ckpt::Error whose message
+ *  contains `what`. */
+void
+expectRestoreError(System &sys, const std::string &path,
+                   const std::string &what)
+{
+    try {
+        sys.restoreCheckpoint(path);
+        ADD_FAILURE() << "restore accepted a checkpoint with: " << what;
+    } catch (const ckpt::Error &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
 
 class CkptCorrupt : public ::testing::Test
 {
@@ -710,20 +855,9 @@ class CkptCorrupt : public ::testing::Test
     void
     expectRejected(const std::string &img, const std::string &what)
     {
-        {
-            std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-            out << img;
-        }
+        writeFile(path_, img);
         System b(cfg_);
-        try {
-            b.restoreCheckpoint(path_);
-            ADD_FAILURE() << "restore accepted a checkpoint with: "
-                          << what;
-        } catch (const ckpt::Error &e) {
-            EXPECT_NE(std::string(e.what()).find(what),
-                      std::string::npos)
-                << e.what();
-        }
+        expectRestoreError(b, path_, what);
     }
 
     /** The image with `width` bytes at `off` in the shapers section
@@ -906,6 +1040,83 @@ TEST_F(CkptCorrupt, RejectsCoreGapWiderThan32Bits)
                    "core gap 4294967296 out of range");
 }
 
+// The DRAM walk sits inside the "mc" section, behind the queued
+// requests: u64 bank count, 33 bytes per bank, u64 bus-free tick, the
+// four-entry activate ring as a u64 vector, then the u64 ring head,
+// which indexes the ring on every activate check.
+TEST_F(CkptCorrupt, RejectsDramActivateRingHeadPastTheRing)
+{
+    System a(cfg_);
+    a.run(1'024);
+    ckpt::Writer w;
+    w.beginSection("dram");
+    a.memController().dram(0).saveState(w);
+    w.endSection();
+    const std::string dram = payloadOf(w.finish(0), "dram");
+    const std::size_t at = payloadOf(image_, "mc").find(dram);
+    ASSERT_NE(at, std::string::npos);
+    const std::size_t head = at + 8 + 33 * getLe(dram, 0, 8) + 8 + 40;
+    ASSERT_EQ(getLe(dram, head - at - 40, 8), 4u) << "no activate ring";
+    expectRejected(editSection(image_, "mc",
+                               [&](std::string &p) {
+                                   putLe(p, head, 4, 8);
+                               }),
+                   "DRAM activate ring head 4 out of range");
+}
+
+// Core 0's shaper, after its bin config (see above; credits as a u32
+// vector at 41): the enabled flag, the credit and effective-credit
+// u32 vectors, the u64 rolling remainders, f64 congestion scale, three
+// u64 ticks, then the pending-bin map (u64 count, then u64 key and
+// u64 bin per entry). A refund on an LLC hit indexes the credits with
+// the bin; the edit adds one entry naming a bin past the last.
+TEST_F(CkptCorrupt, RejectsShaperPendingBinPastTheLastBin)
+{
+    const std::string p = payloadOf(image_, "shapers");
+    const std::size_t bins = getLe(p, 8, 8);
+    const std::size_t map =
+        41 + 3 * (8 + 4 * bins) + 1 + (8 + 8 * bins) + 32;
+    ASSERT_EQ(getLe(p, 41, 8), bins);
+    auto addEntry = [&](std::string &q) {
+        std::string entry(16, '\0'); // key 0
+        putLe(entry, 8, bins, 8);
+        putLe(q, map, getLe(q, map, 8) + 1, 8);
+        q.insert(map + 8, entry);
+    };
+    expectRejected(editSection(image_, "shapers", addEntry),
+                   "shaper pending bin " + std::to_string(bins) +
+                       " out of range");
+}
+
+// FST keeps one throttle-level index per core into its level table.
+// Its "sched" section for two cores: the i64 boosted core, the
+// estimator (i64 measured core, u64 epoch start, five per-core
+// vectors), the levels as an f64 vector, then the u64 index count and
+// one i64 index per core.
+TEST(CkptCorruptFst, RejectsThrottleLevelPastTheLevelTable)
+{
+    SystemConfig cfg = SystemConfig::multiProgram({"gcc", "mcf"});
+    cfg.sched = SchedulerKind::Fst;
+    cfg.seed = 2026;
+    const std::string path = tmpPath("mitts_corrupt_fst.ckpt");
+    System a(cfg);
+    a.run(1'024);
+    a.saveCheckpoint(path);
+    const std::string img = readFile(path);
+
+    const std::size_t vec = 8 + 8 * 2;
+    const std::size_t levels = 8 + 16 + 5 * vec;
+    const std::size_t core1 = levels + vec + 8 + 8;
+    const std::string p = payloadOf(img, "sched");
+    ASSERT_EQ(getLe(p, levels, 8), 2u);
+    ASSERT_EQ(getLe(p, levels + vec, 8), 2u);
+    auto edit = [&](std::string &q) { putLe(q, core1, 1'000, 8); };
+    writeFile(path, editSection(img, "sched", edit));
+    System b(cfg);
+    expectRestoreError(b, path, "fst throttle level 1000 out of range");
+    std::filesystem::remove(path);
+}
+
 // --- corrupted online-tuner state -------------------------------------
 //
 // The tuner indexes its per-core vectors by the boosted core and its
@@ -952,30 +1163,30 @@ class CkptCorruptTuner : public ::testing::Test
         OnlineTuner t(b, opts_);
         b.sim().add(&t);
         b.addCheckpointExtra("tuner", &t);
-        try {
-            b.restoreCheckpoint(path_);
-            ADD_FAILURE() << "restore accepted a tuner with: " << what;
-        } catch (const ckpt::Error &e) {
-            EXPECT_NE(std::string(e.what()).find(what),
-                      std::string::npos)
-                << e.what();
-        }
+        expectRestoreError(b, path_, what);
     }
 
     // The tuner section: four u64 RNG words, the u8 state at 32, three
     // u64s, the i64 boosted core at 57, then four per-core vectors,
-    // two u64s, the population (u64 count, then each genome as a u32
-    // vector) and the fitness vector before the u64 child index.
+    // the u64 epoch start, the u64 measure-epoch count, the population
+    // (u64 count, then each genome as a u32 vector) and the fitness
+    // vector before the u64 child index.
     static constexpr std::size_t kStateAt = 32;
     static constexpr std::size_t kBoostedAt = 57;
 
     static std::size_t
-    childIdxAt(const std::string &p)
+    measureEpochsAt(const std::string &p)
     {
         std::size_t off = kBoostedAt + 8;
         for (int v = 0; v < 4; ++v)
             off += 8 + 8 * getLe(p, off, 8);
-        off += 16;
+        return off + 8;
+    }
+
+    static std::size_t
+    childIdxAt(const std::string &p)
+    {
+        std::size_t off = measureEpochsAt(p) + 8;
         const std::size_t pop = getLe(p, off, 8);
         off += 8;
         for (std::size_t g = 0; g < pop; ++g)
@@ -1009,6 +1220,20 @@ TEST_F(CkptCorruptTuner, RejectsChildIndexOutsideThePopulation)
     ASSERT_LT(getLe(p, at, 8), opts_.population);
     expectRejected([&](std::string &q) { putLe(q, at, 99, 8); },
                    "online tuner child index is outside its population");
+}
+
+// Mid-Measure the boosted core plus the epochs left equals the core
+// count. A larger count used to restore, and the next epoch end then
+// boosted a core past the last one (an uncaught std::out_of_range).
+TEST_F(CkptCorruptTuner, RejectsMeasureEpochCountPastTheLastCore)
+{
+    const std::string p = saveAt(700);
+    ASSERT_EQ(getLe(p, kStateAt, 1), 0u) << "not mid-Measure";
+    const std::size_t at = measureEpochsAt(p);
+    ASSERT_EQ(getLe(p, kBoostedAt, 8) + getLe(p, at, 8), 2u);
+    expectRejected([&](std::string &q) { putLe(q, at, 50, 8); },
+                   "online tuner measure-epoch count does not match "
+                   "its boosted core");
 }
 
 // Restore then save at once must reproduce the image byte for byte:
@@ -1209,6 +1434,40 @@ TEST(CkptSystem, CheckpointExtrasRideAlong)
     EXPECT_EQ(sw_b.switches(), ref_sw.switches());
     EXPECT_EQ(sw_b.currentPhase(0), ref_sw.currentPhase(0));
     EXPECT_EQ(statsOf(b), statsOf(ref));
+    std::filesystem::remove(path);
+}
+
+// The phase switcher's section: u64 schedule count, then the u64
+// phase applied per schedule (~0u before the first check), which
+// currentPhase reports for its core.
+TEST(CkptCorruptPhaseSwitcher, RejectsPhaseOutsideItsSchedule)
+{
+    SystemConfig cfg = SystemConfig::singleProgram("gcc");
+    cfg.gate = GateKind::Mitts;
+    cfg.seed = 31;
+    const std::string path = tmpPath("mitts_corrupt_phase.ckpt");
+    auto rig = [&](System &sys, PhaseSwitcher &sw) {
+        sys.sim().add(&sw);
+        sys.addCheckpointExtra("phase-switcher", &sw);
+    };
+    System a(cfg);
+    PhaseSwitcher sw_a("ps", a, {twoPhaseSchedule(cfg)}, 100);
+    rig(a, sw_a);
+    a.run(4'096);
+    a.saveCheckpoint(path);
+    const std::string img = readFile(path);
+    const std::string p = payloadOf(img, "extra.phase-switcher");
+    ASSERT_EQ(getLe(p, 0, 8), 1u);
+    ASSERT_LT(getLe(p, 8, 8), 2u);
+
+    auto edit = [](std::string &q) { putLe(q, 8, 1'000, 8); };
+    writeFile(path, editSection(img, "extra.phase-switcher", edit));
+    System b(cfg);
+    PhaseSwitcher sw_b("ps", b, {twoPhaseSchedule(cfg)}, 100);
+    rig(b, sw_b);
+    expectRestoreError(b, path,
+                       "phase switcher phase 1000 is not a phase of its "
+                       "schedule");
     std::filesystem::remove(path);
 }
 
