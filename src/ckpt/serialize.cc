@@ -164,10 +164,11 @@ void
 Writer::reserve(std::size_t bytes)
 {
     const std::size_t cap = std::max(bytes, 2 * capacity_);
-    char *grown = static_cast<char *>(std::realloc(image_.get(), cap));
+    char *grown = static_cast<char *>(std::malloc(cap));
     if (!grown)
         throw std::bad_alloc();
-    image_.release();
+    if (size_ != 0)
+        std::memcpy(grown, image_.get(), size_);
     image_.reset(grown);
     capacity_ = cap;
 }
