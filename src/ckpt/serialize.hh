@@ -87,35 +87,34 @@ std::uint32_t crc32(const void *data, std::size_t len,
 std::uint32_t crc32Combine(std::uint32_t crc_a, std::uint32_t crc_b,
                            std::uint64_t len_b);
 
-/** Store `v` at `p` as sizeof(T) little-endian bytes. */
+/** Store `v` at `p` as sizeof(T) little-endian bytes. The bytes are
+ *  assembled in a local word and copied once, so compilers emit one
+ *  store, also in a loop over a block (stored straight into `p` byte
+ *  by byte, GCC vectorizes such a loop into byte shuffles). */
 template <class T>
 inline void
 storeLe(char *p, T v)
 {
     static_assert(std::is_unsigned_v<T>);
-    if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(p, &v, sizeof(T));
-    } else {
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-    }
+    char word[sizeof(T)];
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+        ((word[I] = static_cast<char>(v >> (8 * I))), ...);
+    }(std::make_index_sequence<sizeof(T)>{});
+    std::memcpy(p, word, sizeof(T));
 }
 
-/** The sizeof(T) little-endian bytes at `p`. */
+/** The sizeof(T) little-endian bytes at `p` (one expression, which
+ *  compilers merge into one load). */
 template <class T>
 inline T
 loadLe(const char *p)
 {
     static_assert(std::is_unsigned_v<T>);
-    T v = 0;
-    if constexpr (std::endian::native == std::endian::little) {
-        std::memcpy(&v, p, sizeof(T));
-    } else {
-        for (std::size_t i = 0; i < sizeof(T); ++i)
-            v |= static_cast<T>(static_cast<unsigned char>(p[i]))
-                 << (8 * i);
-    }
-    return v;
+    return [&]<std::size_t... I>(std::index_sequence<I...>) {
+        return ((static_cast<T>(static_cast<unsigned char>(p[I]))
+                 << (8 * I)) |
+                ...);
+    }(std::make_index_sequence<sizeof(T)>{});
 }
 
 /** Serializer: encodes each section in place in one image buffer,
@@ -123,10 +122,7 @@ loadLe(const char *p)
 class Writer
 {
   public:
-    /** An empty image with room for `reserve_bytes` before it grows
-     *  (a hint, such as the size of the last image of the same
-     *  system). */
-    explicit Writer(std::size_t reserve_bytes = 0);
+    Writer();
 
     /** Open a new section; sections cannot nest. */
     void beginSection(const std::string &name);
@@ -162,10 +158,8 @@ class Writer
     std::string finish(std::uint64_t config_hash);
 
     /** Seal the image and write it to `path` via write-to-temp +
-     *  atomic rename, leaving the Writer empty; returns the image
-     *  size in bytes. */
-    std::size_t writeFile(const std::string &path,
-                          std::uint64_t config_hash);
+     *  atomic rename, leaving the Writer empty. */
+    void writeFile(const std::string &path, std::uint64_t config_hash);
 
   private:
     /** `n` bytes appended to the open section; throws Error when no

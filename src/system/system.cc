@@ -410,10 +410,10 @@ System::validate(const EventDesc &d) const
 void
 System::saveCheckpoint(const std::string &path)
 {
-    ckpt::Writer w(imageBytes_);
+    ckpt::Writer w;
     ckpt::Archive a(w);
     walkSections(a);
-    imageBytes_ = w.writeFile(path, checkpointHash());
+    w.writeFile(path, checkpointHash());
 }
 
 void

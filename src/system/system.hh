@@ -179,9 +179,6 @@ class System : public AppMonitor, public EventHandler
     const SystemConfig cfg_;
     /** configHash(cfg_), taken once (cfg_ is const). */
     std::uint64_t configHash_;
-    /** Size of the last image saved: the next save reserves it, so
-     *  saving the same system again allocates its buffer once. */
-    std::size_t imageBytes_ = 0;
     unsigned numCores_ = 0;
 
     /** Declared before sim_ and every component: queues, events and

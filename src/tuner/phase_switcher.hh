@@ -65,10 +65,8 @@ class PhaseSwitcher : public Clocked, public ckpt::Serializable
         for (std::size_t i = 0; i < applied_.size(); ++i) {
             unsigned &p = applied_[i];
             a.narrow(p, "phase switcher phase");
-            if (p != ~0u && p >= schedules_[i].configs.size())
-                throw ckpt::Error("phase switcher phase " +
-                                  std::to_string(p) +
-                                  " is not a phase of its schedule");
+            a.check(p == ~0u || p < schedules_[i].configs.size(),
+                    "phase switcher phase is not a phase of its schedule");
         }
         a.u64(nextCheckAt_);
         a.u64(switches_);
