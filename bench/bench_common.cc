@@ -2,42 +2,15 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
 #include "system/metrics.hh"
-#include "telemetry/scoped_timer.hh"
 #include "trace/app_profile.hh"
 #include "tuner/online_tuner.hh"
 
 namespace mitts::bench
 {
-
-namespace
-{
-
-/** Wall-clock timer for the current section: header() closes the
- *  previous section and the last one is closed at exit, so every
- *  bench reports per-section times (and parallel speedups) for free. */
-std::optional<telemetry::ScopedTimer> gSection;
-
-void
-printWall(const std::string &label, double secs)
-{
-    std::printf("[wall] %s: %.2fs (MITTS_THREADS=%u)\n",
-                label.c_str(), secs,
-                ThreadPool::global().threads());
-    std::fflush(stdout);
-}
-
-void
-closeSection()
-{
-    gSection.reset();
-}
-
-} // namespace
 
 unsigned
 scale()
@@ -88,15 +61,8 @@ jsonPath(const std::string &filename)
 void
 header(const std::string &title)
 {
-    closeSection();
-    static const bool registered = [] {
-        std::atexit(closeSection);
-        return true;
-    }();
-    (void)registered;
     std::printf("\n==== %s ====\n", title.c_str());
     std::fflush(stdout);
-    gSection.emplace(title, printWall);
 }
 
 void

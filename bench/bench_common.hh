@@ -7,9 +7,9 @@
  * runs so the whole suite finishes in minutes; set MITTS_BENCH_SCALE
  * (default 1, higher = longer runs) to increase fidelity, and
  * MITTS_THREADS to parallelize the independent simulations inside a
- * section (results are bit-identical for any thread count). header()
- * also reports the previous section's wall-clock time so parallel
- * speedups are visible.
+ * section. Results are bit-identical for any thread count, and so is
+ * a bench's whole stdout. Host speed is measured by mitts_bench
+ * (mitts_bench/README.md), not here.
  */
 
 #ifndef MITTS_BENCH_BENCH_COMMON_HH

@@ -3,8 +3,9 @@
  * Micro-benchmarks of the MITTS shaper model itself — the C++
  * analogue of the paper's hardware-cost discussion (Sec. III-E:
  * 0.0035 mm^2, <0.9% of core area). Reports the cost of a shaper
- * decision and the architectural state footprint, plus raw simulator
- * throughput.
+ * decision and the architectural state footprint, plus the telemetry
+ * on/off overhead of a full simulation. Simulator throughput itself
+ * is measured by mitts_bench (mitts_bench/README.md).
  */
 
 #include <benchmark/benchmark.h>
@@ -74,27 +75,10 @@ BM_ShaperHardwareState(benchmark::State &state)
 }
 BENCHMARK(BM_ShaperHardwareState);
 
-void
-BM_SimulatorThroughput(benchmark::State &state)
-{
-    SystemConfig cfg = SystemConfig::multiProgram(
-        {"gcc", "mcf", "libquantum", "sjeng"});
-    cfg.gate = GateKind::Mitts;
-    System sys(cfg);
-    Tick cycles = 0;
-    for (auto _ : state) {
-        sys.run(10'000);
-        cycles += 10'000;
-    }
-    state.counters["sim_cycles_per_s"] = benchmark::Counter(
-        static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_SimulatorThroughput)->Unit(benchmark::kMillisecond);
-
 /**
- * Telemetry overhead check: the same 4-program simulation with
- * telemetry disabled (the default; must match BM_SimulatorThroughput
- * — the zero-overhead-when-disabled guarantee), sampling only, and
+ * Telemetry overhead check: a 4-program simulation with telemetry
+ * disabled (the default, and the baseline of the
+ * zero-overhead-when-disabled guarantee), sampling only, and
  * sampling + trace events. Compare sim_cycles_per_s across the three.
  */
 void

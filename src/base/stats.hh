@@ -244,7 +244,7 @@ class Group
 
     const std::string &name() const { return name_; }
 
-    /** Read access for exporters (base/stats_export.hh). */
+    /** Read access for the checkpoint walk (ckpt/serialize.cc). */
     const std::vector<std::unique_ptr<Counter>> &counters() const
     {
         return counters_;

@@ -1,5 +1,6 @@
 #include "cloud/population.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -65,11 +66,16 @@ TenantPopulation::TenantPopulation(const ScenarioConfig &sc,
             std::snprintf(buf, sizeof(buf), "t%04u", id);
             t.name = buf;
             t.arriveAt = w;
-            // Exponential residency, rounded up to whole windows.
+            // Exponential residency, rounded up to whole windows. A
+            // stay past the run's end never departs, so the draw is
+            // capped there; that also keeps the cast to Tick in range.
             const double u = rng.real(); // [0, 1)
             const double windows =
                 -std::log(1.0 - u) * sc.meanResidencyWindows;
-            const double capped = std::max(1.0, std::ceil(windows));
+            const double capped = std::min(
+                std::max(1.0, std::ceil(windows)),
+                static_cast<double>(sc.durationCycles / sc.windowCycles +
+                                    1));
             t.residencyCycles =
                 static_cast<Tick>(capped) * sc.windowCycles;
             t.profileIdx = static_cast<unsigned>(

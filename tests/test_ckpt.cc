@@ -22,7 +22,6 @@
 #include "sim/event_queue.hh"
 #include "system/system.hh"
 #include "trace/synth_trace.hh"
-#include "trace/trace_io.hh"
 #include "tuner/online_tuner.hh"
 #include "tuner/phase_switcher.hh"
 
@@ -1361,16 +1360,6 @@ TEST(CkptSystem, ResaveIsByteIdenticalForEveryWalk)
             {3, false, false, base}, {0, true, true, base + 4096}});
     };
     rows.push_back(scripted);
-    Row file{"file-trace", mix};
-    file.cfg.traceFactory = [](CoreId, unsigned, const AppProfile &,
-                               Addr base, std::uint64_t, unsigned)
-        -> std::unique_ptr<TraceSource> {
-        std::vector<TraceOp> ops;
-        for (Addr i = 0; i < 64; ++i)
-            ops.push_back({2, i % 5 == 0, false, base + i * 8192});
-        return std::make_unique<FileTrace>(std::move(ops));
-    };
-    rows.push_back(file);
 
     const std::string first = tmpPath("mitts_resave_row_a.ckpt");
     const std::string second = tmpPath("mitts_resave_row_b.ckpt");

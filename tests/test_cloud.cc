@@ -233,17 +233,23 @@ TEST(CloudPopulation, DeterministicPerSeed)
 
 TEST(CloudPopulation, ArrivalsAreWindowAlignedAndBounded)
 {
-    const ScenarioConfig sc = populationScenario(11);
-    const TenantPopulation pop(sc, 5);
-    unsigned id = 0;
-    for (const auto &t : pop.arrivals()) {
-        EXPECT_EQ(t.id, id++);
-        EXPECT_EQ(t.arriveAt % sc.windowCycles, 0u);
-        EXPECT_LT(t.arriveAt, sc.durationCycles);
-        EXPECT_GE(t.residencyCycles, sc.windowCycles);
-        EXPECT_EQ(t.residencyCycles % sc.windowCycles, 0u);
-        EXPECT_LT(t.profileIdx, sc.profiles.size());
-        EXPECT_LT(t.tierIdx, 5u);
+    // A huge mean residency once overflowed the cast to Tick and
+    // billed every tenant for a single window.
+    for (const double mean : {4.0, 1e300}) {
+        ScenarioConfig sc = populationScenario(11);
+        sc.meanResidencyWindows = mean;
+        const TenantPopulation pop(sc, 5);
+        ASSERT_FALSE(pop.arrivals().empty());
+        unsigned id = 0;
+        for (const auto &t : pop.arrivals()) {
+            EXPECT_EQ(t.id, id++);
+            EXPECT_EQ(t.arriveAt % sc.windowCycles, 0u);
+            EXPECT_LT(t.arriveAt, sc.durationCycles);
+            EXPECT_GE(t.residencyCycles, sc.windowCycles) << mean;
+            EXPECT_EQ(t.residencyCycles % sc.windowCycles, 0u);
+            EXPECT_LT(t.profileIdx, sc.profiles.size());
+            EXPECT_LT(t.tierIdx, 5u);
+        }
     }
 }
 

@@ -5,12 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <set>
 
 #include "trace/app_profile.hh"
 #include "trace/synth_trace.hh"
-#include "trace/trace_io.hh"
 
 namespace mitts
 {
@@ -188,71 +186,6 @@ TEST(AppProfile, AllProfileNamesNonEmpty)
     EXPECT_GE(names.size(), 18u);
     std::set<std::string> uniq(names.begin(), names.end());
     EXPECT_EQ(uniq.size(), names.size());
-}
-
-
-TEST(TraceIo, SaveLoadRoundTrip)
-{
-    SyntheticTrace src(appProfile("mcf"), 0, 42);
-    const std::string path = "/tmp/mitts_test_trace.txt";
-    saveTrace(path, src, 500);
-
-    FileTrace replay(path);
-    EXPECT_EQ(replay.size(), 500u);
-
-    // Replaying yields exactly what the generator produced.
-    SyntheticTrace ref(appProfile("mcf"), 0, 42);
-    for (int i = 0; i < 500; ++i) {
-        const TraceOp a = ref.next();
-        const TraceOp b = replay.next();
-        EXPECT_EQ(a.gap, b.gap);
-        EXPECT_EQ(a.addr, b.addr);
-        EXPECT_EQ(a.isWrite, b.isWrite);
-        EXPECT_EQ(a.dependsOnPrev, b.dependsOnPrev);
-    }
-}
-
-TEST(TraceIo, FileTraceLoopsAndResets)
-{
-    FileTrace t(std::vector<TraceOp>{{1, false, false, 0x40},
-                                     {2, true, true, 0x80}});
-    EXPECT_EQ(t.next().addr, 0x40u);
-    EXPECT_EQ(t.next().addr, 0x80u);
-    EXPECT_EQ(t.next().addr, 0x40u);
-    t.reset();
-    const TraceOp op0 = t.next();
-    EXPECT_EQ(op0.addr, 0x40u);
-    EXPECT_FALSE(op0.dependsOnPrev);
-}
-
-TEST(TraceIo, RecordingTraceTees)
-{
-    ScriptedTrace inner({{3, false, false, 0x100}});
-    RecordingTrace rec(inner);
-    rec.next();
-    rec.next();
-    ASSERT_EQ(rec.log().size(), 2u);
-    EXPECT_EQ(rec.log()[0].addr, 0x100u);
-    rec.reset();
-    EXPECT_TRUE(rec.log().empty());
-}
-
-
-TEST(TraceIoDeath, MissingFileIsFatal)
-{
-    EXPECT_EXIT(loadTrace("/nonexistent/path/trace.txt"),
-                ::testing::ExitedWithCode(1), "cannot open");
-}
-
-TEST(TraceIoDeath, BadHeaderIsFatal)
-{
-    const std::string path = "/tmp/mitts_bad_trace.txt";
-    {
-        std::ofstream out(path);
-        out << "not-a-trace\n1 0 0 64\n";
-    }
-    EXPECT_EXIT(loadTrace(path), ::testing::ExitedWithCode(1),
-                "bad header");
 }
 
 TEST(AppProfileDeath, UnknownNameIsFatal)
