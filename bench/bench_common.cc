@@ -76,25 +76,6 @@ row(const std::string &label,
     std::fflush(stdout);
 }
 
-namespace
-{
-
-/** Scale the schedulers' internal periods to short bench runs. */
-void
-scaleSchedulerParams(SystemConfig &cfg)
-{
-    cfg.atlas.quantum = 50'000;
-    cfg.tcm.quantum = 50'000;
-    cfg.tcm.shuffleInterval = 800;
-    cfg.mise.epochLength = 5'000;
-    cfg.mise.intervalLength = 50'000;
-    cfg.fst.interval = 25'000;
-    cfg.fst.epochLength = 5'000;
-    cfg.memguard.period = 25'000;
-}
-
-} // namespace
-
 std::vector<ComparisonRow>
 schedulerComparison(unsigned workload, std::size_t llc_bytes,
                     const RunnerOptions &opts, bool include_online)
@@ -103,7 +84,6 @@ schedulerComparison(unsigned workload, std::size_t llc_bytes,
         workloadApps(workload));
     base.llc.sizeBytes = llc_bytes;
     base.seed = 1000 + workload;
-    scaleSchedulerParams(base);
 
     const auto alone = aloneCyclesForAll(base, opts);
 

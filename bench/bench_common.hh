@@ -61,8 +61,8 @@ struct ComparisonRow
  * The paper's scheduler comparison (Figs. 12, 13, 15): run one
  * Table III workload under every conventional scheduler, then under
  * MITTS tuned offline and online for throughput and fairness, and
- * report S_avg/S_max for each. Scheduler epoch/quantum parameters are
- * scaled to the (much shorter) bench run length.
+ * report S_avg/S_max for each. Every scheduler runs with its default
+ * periods (see DESIGN.md "Run-length scaling").
  *
  * @param include_online  also run the (slower) online-GA variants
  */

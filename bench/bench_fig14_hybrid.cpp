@@ -26,8 +26,6 @@ main()
         SystemConfig base =
             SystemConfig::multiProgram(workloadApps(wl));
         base.seed = 1400 + wl;
-        base.mise.epochLength = 5'000;
-        base.mise.intervalLength = 50'000;
         const auto alone = aloneCyclesForAll(base, opts);
 
         // MISE only.

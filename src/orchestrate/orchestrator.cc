@@ -20,7 +20,6 @@
 #include <unistd.h>
 
 #include "orchestrate/frame.hh"
-#include "orchestrate/journal.hh"
 #include "orchestrate/result_cache.hh"
 #include "orchestrate/wallclock.hh"
 #include "orchestrate/worker.hh"
@@ -86,7 +85,7 @@ fmtDouble(double v)
     return buf;
 }
 
-/** Journal appends this run until the test hook kills the parent
+/** Units stored this run until the test hook kills the parent
  *  (MITTS_SWEEP_TEST_DIE_AFTER_UNITS); 0 = hook disarmed. */
 std::uint64_t
 dieAfterUnits()
@@ -404,7 +403,6 @@ runGrid(const SweepSpec &spec, const OrchestratorOptions &opts)
 {
     OrchestratorCounters counters;
     ResultCache cache(opts.cacheDir);
-    Journal journal(opts.outDir + "/journal.log");
 
     const std::uint64_t n = unitCount(spec);
     counters.totalUnits = n;
@@ -418,24 +416,10 @@ runGrid(const SweepSpec &spec, const OrchestratorOptions &opts)
         descs[i] = unitDesc(spec, u);
     }
 
-    // Journal replay: a recorded unit counts only if its key still
-    // matches this spec AND the cache still holds the payload.
-    for (const auto &e : journal.recovered()) {
-        if (e.index >= n || have[e.index] || e.key != keys[e.index])
-            continue;
-        if (auto hit = cache.lookup(keys[e.index], descs[e.index])) {
-            unitPayloads[e.index] = std::move(*hit);
-            have[e.index] = 1;
-            ++counters.replayed;
-            ++counters.cached;
-        }
-    }
-
-    // Cache pass for everything the journal didn't cover.
+    // Cache pass: a resumed or repeated sweep simulates only the
+    // units the cache does not hold.
     std::vector<std::uint64_t> todo;
     for (std::uint64_t i = 0; i < n; ++i) {
-        if (have[i])
-            continue;
         if (auto hit = cache.lookup(keys[i], descs[i])) {
             unitPayloads[i] = std::move(*hit);
             have[i] = 1;
@@ -446,14 +430,12 @@ runGrid(const SweepSpec &spec, const OrchestratorOptions &opts)
     }
 
     const std::uint64_t die_after = dieAfterUnits();
-    std::uint64_t journaled = 0;
     auto complete = [&](std::uint64_t idx, std::string payload) {
         cache.store(keys[idx], descs[idx], payload);
-        journal.append(idx, keys[idx]);
         unitPayloads[idx] = std::move(payload);
         have[idx] = 1;
         ++counters.dispatched;
-        if (die_after && ++journaled >= die_after)
+        if (die_after && counters.dispatched >= die_after)
             std::_Exit(3); // test hook: simulate a killed sweep
     };
 
@@ -635,7 +617,7 @@ OrchestratorCounters::print(std::ostream &os,
 {
     os << "sweep " << name << ": units=" << totalUnits
        << " dispatched=" << dispatched << " cached=" << cached
-       << " replayed=" << replayed << " retried=" << retried
+       << " retried=" << retried
        << " respawns=" << respawns << "\n";
     if (gaEvaluated || gaCacheHits)
         os << "tune " << name << ": evaluated=" << gaEvaluated

@@ -18,8 +18,8 @@
  * Robustness: a worker that exits, closes its pipe mid-frame, or
  * blows its per-unit deadline is SIGKILLed and reaped; its in-flight
  * unit is re-queued up to `maxRetries` times on a respawned worker.
- * Completed units are journaled (see journal.hh) so a killed sweep
- * resumes where it left off.
+ * Every completed unit is stored in the result cache as it lands, so
+ * a killed sweep resumes where it left off.
  */
 
 #ifndef MITTS_ORCHESTRATE_ORCHESTRATOR_HH
@@ -53,7 +53,7 @@ struct OrchestratorOptions
     std::string workerExe;
     /** Result-cache directory (shared across runs and sweeps). */
     std::string cacheDir;
-    /** Output directory: results.txt, summary.json, journal.log. */
+    /** Output directory: results.txt, summary.json. */
     std::string outDir;
     /** Re-dispatches of one unit after worker crashes/timeouts. */
     unsigned maxRetries = 2;
@@ -67,7 +67,6 @@ struct OrchestratorCounters
     std::uint64_t totalUnits = 0;
     std::uint64_t dispatched = 0; ///< units actually simulated
     std::uint64_t cached = 0;     ///< served from the result cache
-    std::uint64_t replayed = 0;   ///< of `cached`: via the journal
     std::uint64_t retried = 0;    ///< re-dispatches after failures
     std::uint64_t respawns = 0;   ///< replacement workers forked
     std::uint64_t gaEvaluated = 0;

@@ -9,8 +9,8 @@
  * work units numbered 0..unitCount()-1 in a canonical row-major
  * order (axis order sched, seed, bins, llc-kb, instr; last axis
  * fastest). The unit index, not completion order, is the identity
- * everything downstream keys on: dispatch, retry, journaling,
- * caching and the final merge all address units by index, which is
+ * everything downstream keys on: dispatch, retry, caching and the
+ * final merge all address units by index, which is
  * what makes the merged output byte-identical for any worker count.
  *
  * Example:

@@ -7,7 +7,7 @@
  * telemetry are host-side concerns that never feed simulated state.
  * Every read is funneled through this header so the detlint R1
  * exemptions stay in exactly one file; nothing returned from here may
- * flow into a result record, the journal, the cache or summary.json
+ * flow into a result record, the cache or summary.json
  * (that would break the byte-identical merge contract detlint R8
  * polices).
  */

@@ -6,7 +6,7 @@
  * Everything that produces result bytes lives here, and is a pure
  * function of (spec, unit index) or (spec, genome): the same record
  * comes back whether it was computed in-process, in any of N
- * workers, or replayed from the cache — the determinism contract
+ * workers, or read back from the cache — the determinism contract
  * the CI sweep job byte-diffs.
  *
  * Alone-run baselines are cached in the shared result cache (keyed

@@ -23,7 +23,9 @@ namespace mitts
 
 struct AtlasConfig
 {
-    Tick quantum = 1'000'000; ///< ranking period (paper: 10M cycles)
+    /** Ranking period. ATLAS publishes 10M cycles; scaled to this
+     *  repo's run lengths (DESIGN.md "Run-length scaling"). */
+    Tick quantum = 50'000;
     double alpha = 0.875;     ///< history decay across quanta
     /** Requests older than this are prioritized regardless of rank
      *  (ATLAS's starvation threshold). */

@@ -67,25 +67,6 @@ class FrfcfsScheduler : public RankedFrfcfs
     }
 };
 
-/** Strict first-come first-served (no row-hit reordering). */
-class FcfsScheduler : public MemScheduler
-{
-  public:
-    /** Stateless across cycles (tick is a no-op): never needs one. */
-    Tick
-    nextWakeTick(Tick now) const override
-    {
-        (void)now;
-        return kTickNever;
-    }
-
-    int
-    pick(const TxnQueue &queue, const Dram &dram, Tick now) override
-    {
-        return firstReady(queue, dram, now);
-    }
-};
-
 } // namespace mitts
 
 #endif // MITTS_SCHED_FRFCFS_HH

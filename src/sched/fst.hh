@@ -29,11 +29,13 @@ namespace mitts
 
 struct FstConfig
 {
-    Tick interval = 100'000;     ///< fairness evaluation interval
+    /** Fairness evaluation interval; it and `epochLength` are scaled
+     *  to this repo's run lengths (DESIGN.md "Run-length scaling"). */
+    Tick interval = 25'000;
     double unfairnessThresh = 1.4;
     double maxRate = 1.0 / 14.0; ///< peak injections/cycle (1/tBURST)
     double burstCap = 4.0;       ///< token bucket depth
-    Tick epochLength = 10'000;   ///< estimator epoch
+    Tick epochLength = 5'000;    ///< estimator epoch
 };
 
 class FstScheduler;

@@ -105,27 +105,9 @@ class MemScheduler : public ckpt::Serializable
   protected:
     /**
      * Checkpoint policy-internal state (ranks, epochs, estimators).
-     * Stateless policies (plain FR-FCFS, FCFS) keep the empty
-     * default; every stateful policy must override it.
+     * Every stateful policy must override the empty default.
      */
     void checkpoint(ckpt::Archive &a) override { (void)a; }
-
-    /** Oldest queue entry that can issue now; -1 if none. */
-    static int
-    firstReady(const TxnQueue &queue, const Dram &dram, Tick now)
-    {
-        int best = -1;
-        Tick best_arrival = kTickNever;
-        for (std::size_t i = 0; i < queue.size(); ++i) {
-            if (!dram.canIssue(queue.coord(i), queue.isWrite(i), now))
-                continue;
-            if (queue.enqueueAt(i) < best_arrival) {
-                best_arrival = queue.enqueueAt(i);
-                best = static_cast<int>(i);
-            }
-        }
-        return best;
-    }
 
     const AppMonitor *monitor_ = nullptr;
 };

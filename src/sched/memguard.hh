@@ -29,7 +29,9 @@ class MemController;
 
 struct MemGuardConfig
 {
-    Tick period = 50'000;      ///< regulation period
+    /** Regulation period, scaled to this repo's run lengths
+     *  (DESIGN.md "Run-length scaling"). */
+    Tick period = 25'000;
     /**
      * Guaranteed fraction of peak bandwidth split across cores
      * (MemGuard guarantees r_min, below peak to stay feasible).

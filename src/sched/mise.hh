@@ -21,8 +21,11 @@ namespace mitts
 
 struct MiseConfig
 {
-    Tick epochLength = 10'000;    ///< measurement epoch (paper value)
-    Tick intervalLength = 5'000'000; ///< re-prioritization interval
+    /** Measurement epoch and re-prioritization interval. MISE
+     *  publishes 10k / 5M cycles; scaled to this repo's run lengths
+     *  (DESIGN.md "Run-length scaling"). */
+    Tick epochLength = 5'000;
+    Tick intervalLength = 50'000;
     double alpha = 0.5;
 };
 

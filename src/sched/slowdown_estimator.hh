@@ -11,8 +11,9 @@
  *
  * blending the service-rate ratio with the measured stall fraction,
  * as the MITTS paper's online genetic algorithm does (Sec. IV-B).
- * The estimator is shared by the MISE scheduler, the FST throttler
- * and the online GA runtime.
+ * The estimator is shared by the MISE scheduler and the FST
+ * throttler. The online GA runtime does not use it: it makes its own
+ * MISE-style measurement in its Measure state (tuner/online_tuner.hh).
  */
 
 #ifndef MITTS_SCHED_SLOWDOWN_ESTIMATOR_HH

@@ -25,7 +25,9 @@ struct TcmConfig
     /** Fraction of bandwidth the latency cluster may consume; the
      *  paper (and MITTS) use 2/N. 0 means "use 2/numCores". */
     double clusterThresh = 0.0;
-    Tick quantum = 1'000'000;  ///< re-clustering period
+    /** Re-clustering period. TCM publishes 1M cycles; scaled to
+     *  this repo's run lengths (DESIGN.md "Run-length scaling"). */
+    Tick quantum = 50'000;
     Tick shuffleInterval = 800;///< bandwidth-cluster rank shuffle
     std::uint64_t seed = 1;
 };

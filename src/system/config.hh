@@ -39,7 +39,6 @@ namespace mitts
 enum class SchedulerKind
 {
     Frfcfs,
-    Fcfs,
     FairQueue,
     Atlas,
     Tcm,
@@ -70,7 +69,6 @@ struct SchedulerInfo
 
 inline constexpr SchedulerInfo kSchedulers[] = {
     {SchedulerKind::Frfcfs, "frfcfs", "FR-FCFS"},
-    {SchedulerKind::Fcfs, "fcfs", "FCFS"},
     {SchedulerKind::FairQueue, "fairqueue", "FairQueue"},
     {SchedulerKind::Atlas, "atlas", "ATLAS"},
     {SchedulerKind::Tcm, "tcm", "TCM"},
@@ -113,7 +111,7 @@ std::vector<SchedulerKind> allSchedulers();
 SchedulerKind schedulerFromName(const std::string &name);
 GateKind gateFromName(const std::string &name);
 
-/** "frfcfs|fcfs|..." / "none|mitts|static" for --help text. */
+/** "frfcfs|fairqueue|..." / "none|mitts|static" for --help text. */
 std::string schedulerNameList();
 std::string gateNameList();
 

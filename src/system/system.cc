@@ -242,9 +242,6 @@ System::buildScheduler()
       case SchedulerKind::Frfcfs:
         sched_ = std::make_unique<FrfcfsScheduler>();
         break;
-      case SchedulerKind::Fcfs:
-        sched_ = std::make_unique<FcfsScheduler>();
-        break;
       case SchedulerKind::FairQueue:
         sched_ = std::make_unique<FairQueueScheduler>(numCores_);
         break;

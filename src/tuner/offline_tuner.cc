@@ -15,8 +15,7 @@ namespace
 {
 
 /**
- * Pool override implied by the tuner options: a private 1-thread
- * pool when parallel evaluation is disabled, a private pool of
+ * Pool override implied by the tuner options: a private pool of
  * maxThreads when capped, or null (= the process-wide pool sized by
  * MITTS_THREADS) otherwise. The fitness values are index-ordered
  * either way, so the GA's trajectory is identical for every choice.
@@ -24,8 +23,6 @@ namespace
 std::optional<ThreadPool>
 poolOverride(const OfflineTunerOptions &opts)
 {
-    if (!opts.parallel)
-        return std::optional<ThreadPool>(std::in_place, 1u);
     if (opts.maxThreads)
         return std::optional<ThreadPool>(std::in_place,
                                          opts.maxThreads);

@@ -24,10 +24,6 @@ struct OfflineTunerOptions
 {
     GaConfig ga;
     RunnerOptions run;
-    /** Evaluate each generation's children in parallel. Fitness
-     *  values stay index-ordered, so the GA trajectory (and winner)
-     *  is identical for any thread count. */
-    bool parallel = true;
     /** Cap on evaluation threads; 0 = the process-wide pool sized by
      *  MITTS_THREADS (default: hardware concurrency). */
     unsigned maxThreads = 0;

@@ -10,6 +10,11 @@
 # digest with
 # tests/golden_stats.digests.
 #
+# It also checks that no scheduler or gate case prints the FR-FCFS
+# ungated report: a comparator that never acts within the run is
+# FR-FCFS under another name. This check runs with --update too, so a
+# re-record cannot pin such a clone.
+#
 # Usage: golden_stats_test.sh /path/to/mitts_sim [--update]
 #   --update  rewrite the digest file from this binary's output. Only
 #             a change that is meant to alter simulated output does
@@ -61,7 +66,7 @@ report() {
     record "$1" "$WORK/$1.out"
 }
 
-for sched in frfcfs fcfs fairqueue atlas tcm fst memguard mise; do
+for sched in frfcfs fairqueue atlas tcm fst memguard mise; do
     report "sched-$sched" "${MIX[@]}" --sched "$sched" --stats
 done
 report gate-mitts "${MIX[@]}" --gate mitts \
@@ -92,9 +97,27 @@ sim ckpt-datacenter --scenario "$SCENARIO" --scenario-until 100000 \
 record ckpt-datacenter "$WORK/dc/ckpt-50000/cloud.mitts" \
     "$WORK/dc/ckpt-50000"/socket*.mitts
 
+# Distinctness: every scheduler and gate case against FR-FCFS.
+frfcfs=""
+for i in "${!names[@]}"; do
+    [ "${names[$i]}" = sched-frfcfs ] && frfcfs="${digests[$i]}"
+done
+for i in "${!names[@]}"; do
+    case "${names[$i]}" in
+        sched-frfcfs) ;;
+        sched-*|gate-*)
+            if [ "${digests[$i]}" = "$frfcfs" ]; then
+                echo "FAIL: ${names[$i]}: prints the sched-frfcfs" \
+                     "report" >&2
+                fails=$((fails + 1))
+            fi ;;
+    esac
+done
+
 if [ "$UPDATE" -eq 1 ]; then
     if [ "$fails" -ne 0 ]; then
-        echo "golden_stats_test: runs failed; digest file unchanged" >&2
+        echo "golden_stats_test: $fails failure(s); digest file" \
+             "unchanged" >&2
         exit 1
     fi
     {

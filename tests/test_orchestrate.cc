@@ -2,8 +2,8 @@
  * @file
  * Sweep orchestration: frame protocol round-trips, spec
  * parse/serialize round-trips, grid expansion order, result-cache
- * integrity (collision, corruption, round-trip), journal recovery
- * (torn tail), and worker-evaluation determinism.
+ * integrity (collision, corruption, round-trip), and
+ * worker-evaluation determinism.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include <unistd.h>
 
 #include "orchestrate/frame.hh"
-#include "orchestrate/journal.hh"
 #include "orchestrate/result_cache.hh"
 #include "orchestrate/sweep_spec.hh"
 #include "orchestrate/worker.hh"
@@ -346,62 +345,6 @@ TEST(ResultCache, CorruptedEntryTreatedAsMiss)
     auto got = cache.lookup(9, "d");
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, "the payload");
-}
-
-// --- journal ------------------------------------------------------------
-
-TEST(Journal, AppendAndRecover)
-{
-    const std::string dir = tmpDir("orch_journal");
-    const std::string path = dir + "/journal.log";
-    {
-        Journal j(path);
-        EXPECT_TRUE(j.recovered().empty());
-        j.append(0, 0x1111);
-        j.append(5, 0xABCDEF0123456789ull);
-    }
-    Journal j2(path);
-    ASSERT_EQ(j2.recovered().size(), 2u);
-    EXPECT_EQ(j2.recovered()[0].index, 0u);
-    EXPECT_EQ(j2.recovered()[0].key, 0x1111u);
-    EXPECT_EQ(j2.recovered()[1].index, 5u);
-    EXPECT_EQ(j2.recovered()[1].key, 0xABCDEF0123456789ull);
-}
-
-TEST(Journal, TornTailDropped)
-{
-    const std::string dir = tmpDir("orch_journal_torn");
-    const std::string path = dir + "/journal.log";
-    {
-        Journal j(path);
-        j.append(1, 0xAA);
-        j.append(2, 0xBB);
-    }
-    // Simulate dying mid-append: an unterminated partial line.
-    {
-        std::ofstream out(path, std::ios::app | std::ios::binary);
-        out << "done 3 00000000000";
-    }
-    Journal j2(path);
-    ASSERT_EQ(j2.recovered().size(), 2u);
-    EXPECT_EQ(j2.recovered()[1].index, 2u);
-
-    // Appending after recovery produces a well-formed file again.
-    j2.append(4, 0xCC);
-}
-
-TEST(Journal, MalformedLineStopsReplay)
-{
-    const std::string dir = tmpDir("orch_journal_bad");
-    const std::string path = dir + "/journal.log";
-    writeAll(path, "done 1 00000000000000aa\n"
-                   "gibberish line\n"
-                   "done 2 00000000000000bb\n");
-    // Replay stops at the first malformed line; later entries are
-    // ignored (the orchestrator just re-queues those units).
-    Journal j(path);
-    ASSERT_EQ(j.recovered().size(), 1u);
-    EXPECT_EQ(j.recovered()[0].key, 0xAAu);
 }
 
 // --- worker evaluation --------------------------------------------------

@@ -76,13 +76,6 @@ struct SchedFixture : public ::testing::Test
     Dram dram;
 };
 
-TEST_F(SchedFixture, FcfsPicksOldest)
-{
-    FcfsScheduler sched;
-    std::vector<ReqPtr> q{txn(0x0, 0, 10), txn(0x40, 1, 5)};
-    EXPECT_EQ(sched.pick(toQueue(q, dram), dram, 100), 1);
-}
-
 TEST_F(SchedFixture, FrfcfsPrefersRowHit)
 {
     RankedFrfcfs sched;

@@ -112,10 +112,9 @@ TEST(NameRegistry, DisplayNamesUniqueAndUnchanged)
     std::vector<std::string> names;
     for (SchedulerKind k : allSchedulers())
         names.push_back(schedulerName(k));
-    EXPECT_EQ(names, (std::vector<std::string>{"FR-FCFS", "FCFS",
-                                               "FairQueue", "ATLAS", "TCM",
-                                               "SourceThro", "MemGuard",
-                                               "MISE"}));
+    EXPECT_EQ(names, (std::vector<std::string>{"FR-FCFS", "FairQueue",
+                                               "ATLAS", "TCM", "SourceThro",
+                                               "MemGuard", "MISE"}));
     EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
               names.size());
 }

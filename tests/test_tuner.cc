@@ -174,7 +174,6 @@ TEST(OfflineTuner, ImprovesOverZeroCredits)
     opts.ga.generations = 3;
     opts.run.instrTarget = 8'000;
     opts.run.maxCycles = 2'000'000;
-    opts.parallel = true;
 
     const auto res = tuneSingleProgram(
         base, Objective::Performance, nullptr, nullptr, opts);

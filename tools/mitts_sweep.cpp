@@ -36,8 +36,8 @@ usage(int code)
 
   --spec FILE        sweep description (required; see DESIGN.md
                      "Sweep orchestration" for the format)
-  --out DIR          output directory for results.txt, summary.json
-                     and journal.log (required; created if missing)
+  --out DIR          output directory for results.txt and
+                     summary.json (required; created if missing)
   --workers N        worker processes to fork (default 0 = evaluate
                      inline in this process; max 256)
   --cache DIR        persistent result-cache directory shared across
@@ -61,7 +61,7 @@ to stdout and are the only nondeterministic output.
 exit codes:
   0  success
   1  configuration or runtime error (invalid sweep spec, worker exec
-     failure, retry budget exhausted, cache/journal I/O failure)
+     failure, retry budget exhausted, cache I/O failure)
   2  usage error: unknown flag, missing --spec/--out, malformed or
      out-of-range numeric value (--workers at most 256, --retries a
      non-negative integer, --timeout a finite non-negative number)
